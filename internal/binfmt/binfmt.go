@@ -36,8 +36,8 @@ import (
 	"unsafe"
 )
 
-// Magic identifies a binfmt container; files not starting with it are
-// assumed to be in the legacy gob encoding by sniffing callers.
+// Magic identifies a binfmt container. NewReader rejects data that does
+// not start with it, so a snapshot in any other encoding fails to open.
 const Magic = "VAIB"
 
 // Version is the container format version written by this package.

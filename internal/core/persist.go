@@ -3,8 +3,9 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
-	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 
@@ -166,56 +167,6 @@ func (fz *FrozenIndexes) Save(dir string, lakeVersion uint64) error {
 	return nil
 }
 
-// SaveLegacy writes the frozen shards in the pre-binfmt encoding/gob
-// format (plus the same pinning metadata), kept for read-compatibility
-// tests and the recovery benchmarks' legacy baseline. Quantized captures
-// have no legacy format and are rejected by vecindex.SaveLegacy.
-func (fz *FrozenIndexes) SaveLegacy(dir string, lakeVersion uint64) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("core: snapshot mkdir: %w", err)
-	}
-	save := func(path string, fn func(f *os.File) error) error {
-		f, err := os.Create(path)
-		if err != nil {
-			return fmt.Errorf("core: create snapshot file: %w", err)
-		}
-		err = fn(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return fmt.Errorf("core: write %s: %w", filepath.Base(path), err)
-		}
-		return nil
-	}
-	for kind, shards := range fz.bm25 {
-		for si, sh := range shards {
-			if err := save(shardFile(dir, familyBM25, kind, si), func(f *os.File) error { return sh.SaveGob(f) }); err != nil {
-				return err
-			}
-		}
-	}
-	for kind, shards := range fz.vec {
-		for si, sh := range shards {
-			if err := save(shardFile(dir, familyVector, kind, si), func(f *os.File) error { return vecindex.SaveLegacy(sh, f) }); err != nil {
-				return err
-			}
-		}
-	}
-	cc, err := canonicalConfig(fz.cfg)
-	if err != nil {
-		return fmt.Errorf("core: snapshot config: %w", err)
-	}
-	meta, err := json.MarshalIndent(snapshotMeta{Format: snapshotFormat, LakeVersion: lakeVersion, Config: cc}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("core: snapshot meta: %w", err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "meta.json"), meta, 0o644); err != nil {
-		return fmt.Errorf("core: write snapshot meta: %w", err)
-	}
-	return nil
-}
-
 // SaveSnapshot writes every index shard plus the pinning metadata to dir
 // (created if needed): Freeze + FrozenIndexes.Save in one call. Call it
 // only while the lake is quiesced at lakeVersion (e.g. inside
@@ -252,7 +203,9 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 		if v := lake.Version(); v != meta.LakeVersion {
 			return fmt.Errorf("%w (snapshot at lake version %d, lake at %d)", ErrSnapshotMismatch, meta.LakeVersion, v)
 		}
-		return ix.loadSnapshotShards(dir)
+		var err error
+		ix.bm25, ix.vec, err = openSnapshotShards(ix.cfg, dir)
+		return err
 	}, datalake.Subscriber{Prepare: ix.prepareHook, Apply: ix.apply})
 	if err != nil {
 		ix.stopAppliers()
@@ -262,33 +215,47 @@ func BuildIndexerFromSnapshot(lake *datalake.Lake, cfg IndexerConfig, dir string
 	return ix, nil
 }
 
-// loadSnapshotShards replaces the indexer's empty shard structures with
-// the snapshot's contents. Shards are opened by path so binfmt snapshots
-// can be memory-mapped and served lazily: startup pays one verification
-// pass per shard, and vector/posting pages fault in as queries touch
-// them. A missing shard file is an ErrSnapshotMismatch (rebuild instead);
-// a shard that exists but fails to open is surfaced loudly — that is
-// corruption, not staleness.
-func (ix *Indexer) loadSnapshotShards(dir string) error {
-	for kind, shards := range ix.bm25 {
-		for si := range shards {
-			loaded, err := openBM25Shard(shardFile(dir, familyBM25, kind, si))
-			if err != nil {
-				return err
+// openSnapshotShards opens every shard of a FrozenIndexes.Save directory
+// written under cfg. Shards are opened by path so they can be
+// memory-mapped and served lazily: startup pays one verification pass per
+// shard, and vector/posting pages fault in as queries touch them. A
+// missing shard file is an ErrSnapshotMismatch (rebuild instead); a shard
+// that exists but fails to open is surfaced loudly, naming the file —
+// that is corruption, not staleness.
+func openSnapshotShards(cfg IndexerConfig, dir string) (map[datalake.Kind][]*invindex.Index, map[datalake.Kind][]vectorIndex, error) {
+	bm25 := make(map[datalake.Kind][]*invindex.Index)
+	vec := make(map[datalake.Kind][]vectorIndex)
+	for _, kind := range cfg.Kinds {
+		for si := 0; si < cfg.Shards; si++ {
+			if cfg.EnableBM25 {
+				path := shardFile(dir, familyBM25, kind, si)
+				sh, err := invindex.OpenFile(path)
+				if err != nil {
+					return nil, nil, shardOpenError(path, err)
+				}
+				bm25[kind] = append(bm25[kind], sh)
 			}
-			shards[si] = loaded
+			if cfg.EnableVector {
+				path := shardFile(dir, familyVector, kind, si)
+				sh, err := loadVectorShard(cfg, nil, path)
+				if err != nil {
+					return nil, nil, shardOpenError(path, err)
+				}
+				vec[kind] = append(vec[kind], sh)
+			}
 		}
 	}
-	for kind, shards := range ix.vec {
-		for si := range shards {
-			loaded, err := openVectorShard(ix.cfg, shardFile(dir, familyVector, kind, si))
-			if err != nil {
-				return err
-			}
-			shards[si] = loaded
-		}
+	return bm25, vec, nil
+}
+
+// shardOpenError distinguishes "snapshot incomplete" (a missing shard
+// file: ErrSnapshotMismatch, rebuild instead) from "shard present but
+// unreadable" (corruption, reported with the shard's file name).
+func shardOpenError(path string, err error) error {
+	if errors.Is(err, fs.ErrNotExist) {
+		return fmt.Errorf("%w (missing shard file %s)", ErrSnapshotMismatch, filepath.Base(path))
 	}
-	return nil
+	return fmt.Errorf("core: open snapshot shard %s: %w", filepath.Base(path), err)
 }
 
 // checkSnapshotMeta reads and validates a snapshot directory's meta.json
@@ -321,34 +288,13 @@ func checkSnapshotMeta(cfg IndexerConfig, dir string) (snapshotMeta, error) {
 	return meta, nil
 }
 
-// statShard distinguishes "snapshot incomplete" (ErrSnapshotMismatch,
-// rebuild instead) from "shard present but unreadable" (corruption,
-// surfaced loudly by the open that follows).
-func statShard(path string) error {
-	if _, err := os.Stat(path); err != nil {
-		return fmt.Errorf("%w (missing shard file %s)", ErrSnapshotMismatch, filepath.Base(path))
-	}
-	return nil
-}
-
-// openBM25Shard opens one persisted BM25 shard by path (mmap-able binfmt
-// or legacy gob).
-func openBM25Shard(path string) (*invindex.Index, error) {
-	if err := statShard(path); err != nil {
-		return nil, err
-	}
-	return invindex.OpenFile(path)
-}
-
-// openVectorShard opens one persisted vector shard by path, dispatching
-// on the configured family.
-func openVectorShard(cfg IndexerConfig, path string) (vectorIndex, error) {
-	if err := statShard(path); err != nil {
-		return nil, err
-	}
+// loadVectorShard opens one serialized vector shard, dispatching on the
+// configured family: from data when it is non-nil (a frozen capture thawed
+// in memory), otherwise from the snapshot file at path, memory-mapped.
+func loadVectorShard(cfg IndexerConfig, data []byte, path string) (vectorIndex, error) {
 	switch {
 	case cfg.Vector == VectorFlat && cfg.Quantize:
-		sq, err := vecindex.OpenSQFile(path)
+		sq, err := loadOrOpen(data, path, vecindex.LoadSQ, vecindex.OpenSQFile)
 		if err != nil {
 			return nil, err
 		}
@@ -357,38 +303,19 @@ func openVectorShard(cfg IndexerConfig, path string) (vectorIndex, error) {
 		}
 		return sq, nil
 	case cfg.Vector == VectorFlat:
-		return vecindex.OpenFlatFile(path)
+		return loadOrOpen(data, path, vecindex.LoadFlat, vecindex.OpenFlatFile)
 	case cfg.Vector == VectorIVF:
-		return vecindex.OpenIVFFile(path)
+		return loadOrOpen(data, path, vecindex.LoadIVF, vecindex.OpenIVFFile)
 	case cfg.Vector == VectorLSH:
-		return vecindex.OpenLSHFile(path)
+		return loadOrOpen(data, path, vecindex.LoadLSH, vecindex.OpenLSHFile)
 	default:
 		return nil, fmt.Errorf("core: unknown vector index kind %d", int(cfg.Vector))
 	}
 }
 
-// loadVectorShard decodes one serialized vector shard from r, dispatching
-// on the configured family — the in-memory counterpart of openVectorShard,
-// used to thaw a frozen capture into a searchable shard without touching
-// disk.
-func loadVectorShard(cfg IndexerConfig, r io.Reader) (vectorIndex, error) {
-	switch {
-	case cfg.Vector == VectorFlat && cfg.Quantize:
-		sq, err := vecindex.LoadSQ(r)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.RerankMultiple > 0 {
-			sq.SetRerank(cfg.RerankMultiple)
-		}
-		return sq, nil
-	case cfg.Vector == VectorFlat:
-		return vecindex.LoadFlat(r)
-	case cfg.Vector == VectorIVF:
-		return vecindex.LoadIVF(r)
-	case cfg.Vector == VectorLSH:
-		return vecindex.LoadLSH(r)
-	default:
-		return nil, fmt.Errorf("core: unknown vector index kind %d", int(cfg.Vector))
+func loadOrOpen[T any](data []byte, path string, load func([]byte) (T, error), open func(string) (T, error)) (T, error) {
+	if data != nil {
+		return load(data)
 	}
+	return open(path)
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
+	"encoding/gob"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/datalake"
@@ -157,6 +160,18 @@ func TestSnapshotMismatch(t *testing.T) {
 		t.Fatalf("tuning-only change refused the snapshot: %v", err)
 	}
 	loaded.Close()
+
+	// A missing shard file means an incomplete snapshot, not corruption.
+	vecShards, err := filepath.Glob(filepath.Join(dir2, "vector-*.idx"))
+	if err != nil || len(vecShards) == 0 {
+		t.Fatalf("no vector shard files: %v", err)
+	}
+	if err := os.Remove(vecShards[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := BuildIndexerFromSnapshot(lake2, cfg, dir2); !errors.Is(err, ErrSnapshotMismatch) {
+		t.Fatalf("missing shard error = %v, want ErrSnapshotMismatch", err)
+	}
 }
 
 // TestQuantizedSnapshotRoundTrip exercises the int8-quantized flat family
@@ -222,44 +237,11 @@ func TestQuantizeRequiresFlat(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotRecovery proves a gob-format snapshot directory (the
-// pre-binfmt layout) still recovers through the same entry point.
-func TestLegacySnapshotRecovery(t *testing.T) {
-	lake := buildPersistLake(t)
-	cfg := DefaultIndexerConfig(7)
-	cfg.Shards = 2
-	ix, err := BuildIndexer(lake, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ix.Close()
-
-	dir := t.TempDir()
-	if err := lake.Quiesce(func(v uint64) error { return ix.Freeze().SaveLegacy(dir, v) }); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := BuildIndexerFromSnapshot(lake, cfg, dir)
-	if err != nil {
-		t.Fatalf("legacy snapshot refused: %v", err)
-	}
-	defer loaded.Close()
-	for _, query := range []string{"season 2 championship", "player1 league"} {
-		_, a := ix.Retrieve(query, 10)
-		_, b := loaded.Retrieve(query, 10)
-		if len(a) != len(b) {
-			t.Fatalf("query %q: candidate counts differ (%d vs %d)", query, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Errorf("query %q candidate %d drifted: %s vs %s", query, i, a[i], b[i])
-			}
-		}
-	}
-}
-
 // TestCorruptShardFailsLoudly distinguishes corruption from staleness: a
-// present-but-mangled shard must surface an error that is NOT
-// ErrSnapshotMismatch, so operators never silently rebuild over bad disks.
+// present-but-mangled shard — a flipped byte, or a file that is not a
+// binfmt container at all — must surface an error that names the shard and
+// is NOT ErrSnapshotMismatch, so operators never silently rebuild over bad
+// disks.
 func TestCorruptShardFailsLoudly(t *testing.T) {
 	lake := buildPersistLake(t)
 	cfg := DefaultIndexerConfig(7)
@@ -268,27 +250,51 @@ func TestCorruptShardFailsLoudly(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ix.Close()
-	dir := t.TempDir()
-	if err := lake.Quiesce(func(v uint64) error { return ix.SaveSnapshot(dir, v) }); err != nil {
+	var gobStream bytes.Buffer
+	if err := gob.NewEncoder(&gobStream).Encode(struct{ IDs []string }{[]string{"t1"}}); err != nil {
 		t.Fatal(err)
 	}
-	matches, err := filepath.Glob(filepath.Join(dir, "bm25-*.idx"))
-	if err != nil || len(matches) == 0 {
-		t.Fatalf("no bm25 shard files: %v", err)
+	cases := []struct {
+		name   string
+		glob   string
+		mangle func([]byte) []byte
+	}{
+		{"mid-file byte flip", "bm25-*.idx", func(b []byte) []byte {
+			b[len(b)/2] ^= 0xff
+			return b
+		}},
+		{"no magic: gob stream", "vector-*.idx", func([]byte) []byte { return gobStream.Bytes() }},
+		{"no magic: arbitrary bytes", "bm25-*.idx", func(b []byte) []byte {
+			return bytes.Repeat([]byte{0x5a}, len(b))
+		}},
 	}
-	data, err := os.ReadFile(matches[0])
-	if err != nil {
-		t.Fatal(err)
-	}
-	data[len(data)/2] ^= 0xff
-	if err := os.WriteFile(matches[0], data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = BuildIndexerFromSnapshot(lake, cfg, dir)
-	if err == nil {
-		t.Fatal("corrupt shard loaded without error")
-	}
-	if errors.Is(err, ErrSnapshotMismatch) {
-		t.Fatalf("corruption reported as staleness: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := lake.Quiesce(func(v uint64) error { return ix.SaveSnapshot(dir, v) }); err != nil {
+				t.Fatal(err)
+			}
+			matches, err := filepath.Glob(filepath.Join(dir, tc.glob))
+			if err != nil || len(matches) == 0 {
+				t.Fatalf("no %s shard files: %v", tc.glob, err)
+			}
+			data, err := os.ReadFile(matches[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(matches[0], tc.mangle(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			_, err = BuildIndexerFromSnapshot(lake, cfg, dir)
+			if err == nil {
+				t.Fatal("corrupt shard loaded without error")
+			}
+			if errors.Is(err, ErrSnapshotMismatch) {
+				t.Fatalf("corruption reported as staleness: %v", err)
+			}
+			if name := filepath.Base(matches[0]); !strings.Contains(err.Error(), name) {
+				t.Errorf("error %q does not name shard %s", err, name)
+			}
+		})
 	}
 }

@@ -96,66 +96,44 @@ func (ps *PinnedSnapshot) doMaterialize() error {
 	for _, s := range ps.view.Sources() {
 		ps.priors[s.ID] = s.TrustPrior
 	}
+	if ps.frozen == nil {
+		var err error
+		ps.bm25, ps.vec, err = openSnapshotShards(ps.cfg, ps.dir)
+		return err
+	}
 	ps.bm25 = make(map[datalake.Kind][]*invindex.Index)
 	ps.vec = make(map[datalake.Kind][]vectorIndex)
-	if ps.frozen != nil {
-		for kind, shards := range ps.frozen.bm25 {
-			out := make([]*invindex.Index, len(shards))
-			for si, sh := range shards {
-				var buf bytes.Buffer
-				if err := sh.Save(&buf); err != nil {
-					return fmt.Errorf("core: thaw bm25 shard %s/%d: %w", kind, si, err)
-				}
-				loaded, err := invindex.Load(&buf)
-				if err != nil {
-					return fmt.Errorf("core: thaw bm25 shard %s/%d: %w", kind, si, err)
-				}
-				out[si] = loaded
+	for kind, shards := range ps.frozen.bm25 {
+		out := make([]*invindex.Index, len(shards))
+		for si, sh := range shards {
+			var buf bytes.Buffer
+			if err := sh.Save(&buf); err != nil {
+				return fmt.Errorf("core: thaw bm25 shard %s/%d: %w", kind, si, err)
 			}
-			ps.bm25[kind] = out
-		}
-		for kind, shards := range ps.frozen.vec {
-			out := make([]vectorIndex, len(shards))
-			for si, sh := range shards {
-				var buf bytes.Buffer
-				if err := sh.Save(&buf); err != nil {
-					return fmt.Errorf("core: thaw vector shard %s/%d: %w", kind, si, err)
-				}
-				loaded, err := loadVectorShard(ps.cfg, &buf)
-				if err != nil {
-					return fmt.Errorf("core: thaw vector shard %s/%d: %w", kind, si, err)
-				}
-				out[si] = loaded
+			loaded, err := invindex.Load(buf.Bytes())
+			if err != nil {
+				return fmt.Errorf("core: thaw bm25 shard %s/%d: %w", kind, si, err)
 			}
-			ps.vec[kind] = out
+			out[si] = loaded
 		}
-		ps.frozen = nil
-		return nil
+		ps.bm25[kind] = out
 	}
-	for _, kind := range ps.cfg.Kinds {
-		if ps.cfg.EnableBM25 {
-			out := make([]*invindex.Index, ps.cfg.Shards)
-			for si := range out {
-				loaded, err := openBM25Shard(shardFile(ps.dir, familyBM25, kind, si))
-				if err != nil {
-					return err
-				}
-				out[si] = loaded
+	for kind, shards := range ps.frozen.vec {
+		out := make([]vectorIndex, len(shards))
+		for si, sh := range shards {
+			var buf bytes.Buffer
+			if err := sh.Save(&buf); err != nil {
+				return fmt.Errorf("core: thaw vector shard %s/%d: %w", kind, si, err)
 			}
-			ps.bm25[kind] = out
-		}
-		if ps.cfg.EnableVector {
-			out := make([]vectorIndex, ps.cfg.Shards)
-			for si := range out {
-				loaded, err := openVectorShard(ps.cfg, shardFile(ps.dir, familyVector, kind, si))
-				if err != nil {
-					return err
-				}
-				out[si] = loaded
+			loaded, err := loadVectorShard(ps.cfg, buf.Bytes(), "")
+			if err != nil {
+				return fmt.Errorf("core: thaw vector shard %s/%d: %w", kind, si, err)
 			}
-			ps.vec[kind] = out
+			out[si] = loaded
 		}
+		ps.vec[kind] = out
 	}
+	ps.frozen = nil
 	return nil
 }
 

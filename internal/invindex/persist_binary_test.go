@@ -154,7 +154,7 @@ func TestTwoTierMutation(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatalf("Save two-tier: %v", err)
 	}
-	reloaded, err := Load(&buf)
+	reloaded, err := Load(buf.Bytes())
 	if err != nil {
 		t.Fatalf("Load two-tier: %v", err)
 	}
@@ -164,34 +164,6 @@ func TestTwoTierMutation(t *testing.T) {
 	for _, q := range []string{"golf prize", "fox springfield derby", "congressional election"} {
 		sameHits(t, q, ix.Search(q, 10), reloaded.Search(q, 10))
 	}
-}
-
-func TestLegacyGobReadCompat(t *testing.T) {
-	orig := buildSmall(t)
-	var buf bytes.Buffer
-	if err := orig.Freeze().SaveGob(&buf); err != nil {
-		t.Fatalf("SaveGob: %v", err)
-	}
-	gobBytes := append([]byte(nil), buf.Bytes()...)
-
-	ix, err := Load(&buf)
-	if err != nil {
-		t.Fatalf("Load(gob): %v", err)
-	}
-	if ix.base != nil {
-		t.Error("gob snapshot should decode into the mutable tier")
-	}
-	sameHits(t, "gob", orig.Search("golf prize", 10), ix.Search("golf prize", 10))
-
-	path := filepath.Join(t.TempDir(), "legacy.idx")
-	if err := os.WriteFile(path, gobBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	ix2, err := OpenFile(path)
-	if err != nil {
-		t.Fatalf("OpenFile(gob): %v", err)
-	}
-	sameHits(t, "gob-file", orig.Search("golf prize", 10), ix2.Search("golf prize", 10))
 }
 
 // TestBinarySnapshotCorruption flips every byte of a snapshot and demands
@@ -209,7 +181,7 @@ func TestBinarySnapshotCorruption(t *testing.T) {
 	for off := 0; off < len(good); off++ {
 		mut := append([]byte(nil), good...)
 		mut[off] ^= 0x5a
-		ix, err := loadBinary(mut)
+		ix, err := Load(mut)
 		if err != nil {
 			continue
 		}
@@ -217,7 +189,7 @@ func TestBinarySnapshotCorruption(t *testing.T) {
 	}
 
 	for _, cut := range []int{0, 1, len(good) / 2, len(good) - 1} {
-		if _, err := loadBinary(good[:cut]); err == nil {
+		if _, err := Load(good[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes loaded", cut)
 		}
 	}
@@ -265,7 +237,7 @@ func TestStaticValidationRejects(t *testing.T) {
 		return buf.Bytes()
 	}
 
-	if _, err := loadBinary(encode(t, valid())); err != nil {
+	if _, err := Load(encode(t, valid())); err != nil {
 		t.Fatalf("valid hand-built snapshot rejected: %v", err)
 	}
 
@@ -287,7 +259,7 @@ func TestStaticValidationRejects(t *testing.T) {
 	for name, mutate := range cases {
 		p := valid()
 		mutate(&p)
-		if _, err := loadBinary(encode(t, p)); err == nil {
+		if _, err := Load(encode(t, p)); err == nil {
 			t.Errorf("%s: loaded without error", name)
 		}
 	}
@@ -337,7 +309,7 @@ func FuzzLoadBinarySnapshot(f *testing.F) {
 	f.Add([]byte(binfmt.Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := loadBinary(data)
+		loaded, err := Load(data)
 		if err != nil {
 			return
 		}

@@ -217,8 +217,8 @@ func New(p *core.Pipeline, opts ...Option) *Server {
 	if s.unpinSnapshot == nil {
 		s.unpinSnapshot = p.Snapshots().Unpin
 	}
-	s.mux.HandleFunc("/v1/verify/claim", s.handleVerifyClaim)
-	s.mux.HandleFunc("/v1/verify/tuple", s.handleVerifyTuple)
+	s.mux.HandleFunc("/v1/verify/claim", verifyHandler(s, buildClaimObject))
+	s.mux.HandleFunc("/v1/verify/tuple", verifyHandler(s, buildTupleObject))
 	s.mux.HandleFunc("/v1/verify/batch", s.handleVerifyBatch)
 	s.mux.HandleFunc("/v1/ingest/table", s.handleIngestTable)
 	s.mux.HandleFunc("/v1/ingest/document", s.handleIngestDocument)
@@ -496,86 +496,51 @@ func writeVerifyError(w http.ResponseWriter, r *http.Request, err error) {
 
 // --- handlers ---
 
-func (s *Server) handleVerifyClaim(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req ClaimRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
-		return
-	}
-	g, kinds, err := buildClaimObject(req)
-	if err != nil {
-		writeError(w, err.status, "%v", err)
-		return
-	}
-	asOf, ok := parseVersionParam(w, r)
-	if !ok {
-		return
-	}
-	// Freshness barrier before admission: a waiting request must not hold a
-	// verify slot.
-	if !s.waitMinVersion(w, r) {
-		return
-	}
-	release, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := s.verifyContext(r)
-	defer cancel()
-	report, err2 := s.pipeline.VerifyAsOfCtx(ctx, g, asOf, kinds...)
-	if err2 != nil {
-		if snapshotResolveError(err2) {
-			s.writeSnapshotError(w, asOf, err2)
+// verifyHandler serves one single-object verify route (claim or tuple):
+// decode the request, build the generated object, parse ?version=, wait
+// for ?min_version=, claim an admission slot, then verify.
+func verifyHandler[Req any](s *Server, build func(Req) (verify.Generated, []datalake.Kind, *reqError)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, "POST required")
 			return
 		}
-		writeVerifyError(w, r, err2)
-		return
-	}
-	writeJSON(w, http.StatusOK, toResponse(g.ID, report))
-}
-
-func (s *Server) handleVerifyTuple(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	var req TupleRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
-		return
-	}
-	g, kinds, err := buildTupleObject(req)
-	if err != nil {
-		writeError(w, err.status, "%v", err)
-		return
-	}
-	asOf, ok := parseVersionParam(w, r)
-	if !ok {
-		return
-	}
-	if !s.waitMinVersion(w, r) {
-		return
-	}
-	release, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := s.verifyContext(r)
-	defer cancel()
-	report, err2 := s.pipeline.VerifyAsOfCtx(ctx, g, asOf, kinds...)
-	if err2 != nil {
-		if snapshotResolveError(err2) {
-			s.writeSnapshotError(w, asOf, err2)
+		var req Req
+		if !decodeStrict(w, r, maxBodyBytes, &req) {
 			return
 		}
-		writeVerifyError(w, r, err2)
-		return
+		g, kinds, rerr := build(req)
+		if rerr != nil {
+			writeError(w, rerr.status, "%v", rerr)
+			return
+		}
+		asOf, ok := parseVersionParam(w, r)
+		if !ok {
+			return
+		}
+		// Freshness barrier before admission: a waiting request must not
+		// hold a verify slot.
+		if !s.waitMinVersion(w, r) {
+			return
+		}
+		release, ok := s.admit(w)
+		if !ok {
+			return
+		}
+		defer release()
+		ctx, cancel := s.verifyContext(r)
+		defer cancel()
+		report, err := s.pipeline.VerifyAsOfCtx(ctx, g, asOf, kinds...)
+		if err != nil {
+			if snapshotResolveError(err) {
+				s.writeSnapshotError(w, asOf, err)
+				return
+			}
+			writeVerifyError(w, r, err)
+			return
+		}
+		writeJSON(w, http.StatusOK, toResponse(g.ID, report))
 	}
-	writeJSON(w, http.StatusOK, toResponse(g.ID, report))
 }
 
 // reqError pairs a request-validation failure with its response status, so

@@ -107,67 +107,6 @@ func TestOpenVectorFilesServeMapped(t *testing.T) {
 	})
 }
 
-func TestLegacyGobVectorCompat(t *testing.T) {
-	const dim = 8
-	vecs := randomVectors(60, dim, 71)
-	q := randomVectors(1, dim, 72)[0]
-
-	flat := NewFlat(dim, InnerProduct)
-	ivf := NewIVF(dim, InnerProduct, 4, 2, 5)
-	lsh := NewLSH(dim, 8, 2, 5)
-	for i, v := range vecs {
-		id := fmt.Sprintf("v%03d", i)
-		for _, add := range []func(string, embed.Vector) error{flat.Add, ivf.Add, lsh.Add} {
-			if err := add(id, v); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	ivf.Train()
-
-	var buf bytes.Buffer
-	if err := SaveLegacy(flat.Freeze(), &buf); err != nil {
-		t.Fatalf("SaveLegacy(flat): %v", err)
-	}
-	gotFlat, err := LoadFlat(&buf)
-	if err != nil {
-		t.Fatalf("LoadFlat(gob): %v", err)
-	}
-	sameVecHits(t, "flat", flat.Search(q, 5), gotFlat.Search(q, 5))
-
-	buf.Reset()
-	if err := SaveLegacy(ivf.Freeze(), &buf); err != nil {
-		t.Fatalf("SaveLegacy(ivf): %v", err)
-	}
-	gobBytes := append([]byte(nil), buf.Bytes()...)
-	gotIVF, err := LoadIVF(&buf)
-	if err != nil {
-		t.Fatalf("LoadIVF(gob): %v", err)
-	}
-	sameVecHits(t, "ivf", ivf.Search(q, 5), gotIVF.Search(q, 5))
-
-	// The file-open path must sniff gob snapshots too.
-	path := filepath.Join(t.TempDir(), "legacy.idx")
-	if err := os.WriteFile(path, gobBytes, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	gotIVF2, err := OpenIVFFile(path)
-	if err != nil {
-		t.Fatalf("OpenIVFFile(gob): %v", err)
-	}
-	sameVecHits(t, "ivf-file", ivf.Search(q, 5), gotIVF2.Search(q, 5))
-
-	buf.Reset()
-	if err := SaveLegacy(lsh.Freeze(), &buf); err != nil {
-		t.Fatalf("SaveLegacy(lsh): %v", err)
-	}
-	gotLSH, err := LoadLSH(&buf)
-	if err != nil {
-		t.Fatalf("LoadLSH(gob): %v", err)
-	}
-	sameVecHits(t, "lsh", lsh.Search(q, 5), gotLSH.Search(q, 5))
-}
-
 // TestVectorSnapshotCorruption flips every byte of a binary snapshot and
 // demands each flip either fails loudly or (padding bytes) changes nothing.
 func TestVectorSnapshotCorruption(t *testing.T) {
@@ -190,20 +129,20 @@ func TestVectorSnapshotCorruption(t *testing.T) {
 	for off := 0; off < len(good); off++ {
 		mut := append([]byte(nil), good...)
 		mut[off] ^= 0xa5
-		loaded, err := LoadSQ(bytes.NewReader(mut))
+		loaded, err := LoadSQ(mut)
 		if err != nil {
 			continue
 		}
 		sameVecHits(t, fmt.Sprintf("silent flip at %d", off), want, loaded.Search(q, 5))
 	}
 	for _, cut := range []int{0, 3, len(good) / 2, len(good) - 1} {
-		if _, err := LoadSQ(bytes.NewReader(good[:cut])); err == nil {
+		if _, err := LoadSQ(good[:cut]); err == nil {
 			t.Errorf("truncation to %d bytes loaded", cut)
 		}
 	}
 
 	// Family confusion must be loud: an SQ snapshot is not a flat one.
-	if _, err := LoadFlat(bytes.NewReader(good)); err == nil {
+	if _, err := LoadFlat(good); err == nil {
 		t.Error("LoadFlat accepted an sqflat snapshot")
 	}
 }

@@ -21,7 +21,7 @@ func TestFlatSaveLoadRoundtrip(t *testing.T) {
 	if err := f.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := LoadFlat(&buf)
+	loaded, err := LoadFlat(buf.Bytes())
 	if err != nil {
 		t.Fatalf("LoadFlat: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestFlatSaveLoadProperty(t *testing.T) {
 		if err := ix.Save(&buf); err != nil {
 			return false
 		}
-		loaded, err := LoadFlat(&buf)
+		loaded, err := LoadFlat(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -77,7 +77,7 @@ func TestFlatSaveLoadProperty(t *testing.T) {
 }
 
 func TestLoadFlatMalformed(t *testing.T) {
-	if _, err := LoadFlat(bytes.NewBufferString("junk")); err == nil {
+	if _, err := LoadFlat([]byte("junk")); err == nil {
 		t.Error("junk snapshot accepted")
 	}
 }
@@ -124,7 +124,7 @@ func TestIVFSaveLoadRoundtrip(t *testing.T) {
 			if err := ix.Save(&buf); err != nil {
 				t.Fatalf("Save: %v", err)
 			}
-			loaded, err := LoadIVF(&buf)
+			loaded, err := LoadIVF(buf.Bytes())
 			if err != nil {
 				t.Fatalf("LoadIVF: %v", err)
 			}
@@ -157,7 +157,7 @@ func TestLSHSaveLoadRoundtrip(t *testing.T) {
 	if err := ix.Save(&buf); err != nil {
 		t.Fatalf("Save: %v", err)
 	}
-	loaded, err := LoadLSH(&buf)
+	loaded, err := LoadLSH(buf.Bytes())
 	if err != nil {
 		t.Fatalf("LoadLSH: %v", err)
 	}
@@ -168,10 +168,10 @@ func TestLSHSaveLoadRoundtrip(t *testing.T) {
 }
 
 func TestLoadIVFLSHMalformed(t *testing.T) {
-	if _, err := LoadIVF(bytes.NewBufferString("junk")); err == nil {
+	if _, err := LoadIVF([]byte("junk")); err == nil {
 		t.Error("junk IVF snapshot accepted")
 	}
-	if _, err := LoadLSH(bytes.NewBufferString("junk")); err == nil {
+	if _, err := LoadLSH([]byte("junk")); err == nil {
 		t.Error("junk LSH snapshot accepted")
 	}
 }

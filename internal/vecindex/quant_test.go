@@ -200,7 +200,7 @@ func TestSQFlatSaveLoadRoundtrip(t *testing.T) {
 	}
 	data := append([]byte(nil), buf.Bytes()...)
 
-	loaded, err := LoadSQ(&buf)
+	loaded, err := LoadSQ(buf.Bytes())
 	if err != nil {
 		t.Fatalf("LoadSQ: %v", err)
 	}
@@ -275,7 +275,7 @@ func TestSQFlatFreezeIsolation(t *testing.T) {
 	if err := frozen.Save(&buf); err != nil {
 		t.Fatalf("Save frozen: %v", err)
 	}
-	loaded, err := LoadSQ(&buf)
+	loaded, err := LoadSQ(buf.Bytes())
 	if err != nil {
 		t.Fatalf("LoadSQ: %v", err)
 	}
@@ -290,13 +290,6 @@ func TestSQFlatFreezeIsolation(t *testing.T) {
 		if want[i] != got[i] {
 			t.Errorf("hit %d: %+v vs %+v", i, got[i], want[i])
 		}
-	}
-}
-
-func TestSQFlatNoLegacyFormat(t *testing.T) {
-	sq := NewSQFlat(4, Cosine, 2)
-	if err := SaveLegacy(sq.Freeze(), &bytes.Buffer{}); err == nil {
-		t.Error("SaveLegacy accepted an SQFlat capture")
 	}
 }
 
