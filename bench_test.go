@@ -456,7 +456,6 @@ func BenchmarkRetrievalSharding(b *testing.B) {
 		icfg := core.DefaultIndexerConfig(1)
 		icfg.Shards = layout.shards
 		icfg.RetrieveWorkers = layout.workers
-		icfg.QueryCacheSize = 0 // measure search, not embedding-cache hits
 		ix, err := core.BuildIndexer(corpus.Lake, icfg)
 		if err != nil {
 			b.Fatal(err)
@@ -568,7 +567,6 @@ func BenchmarkIngestThroughput(b *testing.B) {
 				lake := datalake.New()
 				icfg := core.DefaultIndexerConfig(1)
 				icfg.Shards = 4
-				icfg.QueryCacheSize = 0
 				ix, err := core.BuildIndexer(lake, icfg)
 				if err != nil {
 					b.Fatal(err)
@@ -620,7 +618,7 @@ func BenchmarkIngestThroughput(b *testing.B) {
 // ingest hot path: the same pipelined document ingest, bare vs with every
 // lake and indexer metric armed (prepare/commit/apply histograms, queue
 // gauge, per-family shard-search timers). The two docs/sec figures feed
-// benchgate's -obs-floor ratio check — instrumented throughput must stay
+// a benchgate -ratio rule — instrumented throughput must stay
 // within a few percent of bare on the same machine in the same run.
 func BenchmarkObsOverhead(b *testing.B) {
 	for _, mode := range []string{"bare", "instrumented"} {
@@ -628,7 +626,6 @@ func BenchmarkObsOverhead(b *testing.B) {
 			lake := datalake.New()
 			icfg := core.DefaultIndexerConfig(1)
 			icfg.Shards = 4
-			icfg.QueryCacheSize = 0
 			ix, err := core.BuildIndexer(lake, icfg)
 			if err != nil {
 				b.Fatal(err)
@@ -669,7 +666,6 @@ func BenchmarkBatchIngest(b *testing.B) {
 			lake := datalake.New()
 			icfg := core.DefaultIndexerConfig(1)
 			icfg.Shards = 4
-			icfg.QueryCacheSize = 0
 			ix, err := core.BuildIndexer(lake, icfg)
 			if err != nil {
 				b.Fatal(err)
@@ -717,15 +713,9 @@ func BenchmarkDurableIngest(b *testing.B) {
 			var sys *System
 			var err error
 			if mode == "inmemory" {
-				lake := datalake.New()
-				icfg := core.DefaultIndexerConfig(1)
-				icfg.QueryCacheSize = 0
-				opts := DefaultOptions(1)
-				opts.Indexer = icfg
-				sys, err = NewSystem(lake, opts)
+				sys, err = NewSystem(datalake.New(), DefaultOptions(1))
 			} else {
 				opts := DefaultOpenOptions(1)
-				opts.Indexer.QueryCacheSize = 0
 				opts.Sync = strings.TrimPrefix(mode, "fsync=")
 				sys, err = Open(b.TempDir(), opts)
 			}
@@ -838,7 +828,6 @@ func BenchmarkWALEncode(b *testing.B) {
 // this gate is TestCheckpointDoesNotBlockIngest in internal/durable.
 func BenchmarkCheckpointStall(b *testing.B) {
 	opts := DefaultOpenOptions(1)
-	opts.Indexer.QueryCacheSize = 0
 	opts.Sync = "none" // isolate checkpoint-induced stall from per-commit fsync cost
 	sys, err := Open(b.TempDir(), opts)
 	if err != nil {
@@ -973,12 +962,12 @@ func BenchmarkVerifyCachedVsCold(b *testing.B) {
 			sys := caseSystem(b, mode == "cached")
 			defer sys.Close()
 			c := workload.GolfClaim()
-			if _, err := sys.VerifyClaim("bench-cache", c); err != nil { // warm
+			if _, err := sys.VerifyClaimCtx(context.Background(), "bench-cache", c); err != nil { // warm
 				b.Fatal(err)
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := sys.VerifyClaim("bench-cache", c); err != nil {
+				if _, err := sys.VerifyClaimCtx(context.Background(), "bench-cache", c); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -1031,9 +1020,9 @@ func BenchmarkPinnedVsHeadVerify(b *testing.B) {
 				err error
 			)
 			if pinned {
-				rep, err = sys.VerifyClaimAsOfCtx(ctx, id, c, asOf)
+				rep, err = sys.Verify(ctx, NewClaimObject(id, c), asOf)
 			} else {
-				rep, err = sys.VerifyClaim(id, c)
+				rep, err = sys.VerifyClaimCtx(context.Background(), id, c)
 			}
 			if err != nil {
 				b.Fatal(err)
@@ -1150,7 +1139,7 @@ func BenchmarkEndToEndVerify(b *testing.B) {
 	g := env.TupleObject(task, tuple)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := env.Pipeline.Verify(g, datalake.KindTuple, datalake.KindText); err != nil {
+		if _, err := env.Pipeline.VerifyCtx(context.Background(), g, datalake.KindTuple, datalake.KindText); err != nil {
 			b.Fatal(err)
 		}
 	}

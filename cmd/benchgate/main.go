@@ -11,6 +11,14 @@
 // performance. Benchmarks present on only one side are skipped, so the
 // gate tolerates adding or retiring benchmarks. Refresh the baseline with
 // the command printed in bench_baseline.txt after an intentional change.
+//
+// Each repeatable -ratio rule bounds the ratio of two benchmarks measured
+// in the current run, e.g.
+//
+//	-ratio 'BenchmarkWALEncode/binary / BenchmarkWALEncode/json bytes/rec <= 0.7'
+//
+// Such a rule holds on any hardware; a benchmark missing from the run
+// fails it.
 package main
 
 import (
@@ -30,72 +38,24 @@ func main() {
 	currentPath := flag.String("current", "bench.txt", "freshly measured bench output")
 	threshold := flag.Float64("threshold", 0.25, "fractional regression that fails the gate")
 	filter := flag.String("filter", "", "regexp limiting which benchmarks are gated (default: all)")
-	pipelineFloor := flag.Float64("pipeline-floor", 0,
-		"if > 0, require pipelined ingest docs/sec >= floor * serialized docs/sec within the current run (machine-independent; 0 disables)")
-	obsFloor := flag.Float64("obs-floor", 0,
-		"if > 0, require instrumented ingest docs/sec >= floor * bare docs/sec within the current run (observability overhead budget; 0 disables)")
-	walEncCeiling := flag.Float64("walenc-ceiling", 0,
-		"if > 0, require binary WAL bytes/rec <= ceiling * JSON bytes/rec within the current run (record codec size claim; 0 disables)")
+	var rules ratioRules
+	flag.Var(&rules, "ratio",
+		"within-run ratio rule 'NUM / DEN UNIT >= x' (floor) or '... <= x' (ceiling); repeatable. A benchmark missing from the current run fails the rule")
 	flag.Parse()
 
 	baseline := parse(*baselinePath)
 	current := parse(*currentPath)
 
 	// The absolute comparison below is only meaningful against a baseline
-	// from comparable hardware; this relative check holds on any machine:
-	// the pipelined write path must never cost throughput vs the serialized
-	// emulation measured in the same run.
+	// from comparable hardware; ratio rules hold on any machine, because
+	// numerator and denominator are measured in the same run.
 	failed := false
-	if *pipelineFloor > 0 {
-		for _, writers := range []string{"1", "4", "16"} {
-			num := "BenchmarkIngestThroughput/pipelined/writers=" + writers
-			den := "BenchmarkIngestThroughput/serialized/writers=" + writers
-			ratio, ok := metrics.RatioCheck(current, "docs/sec", num, den)
-			if !ok {
-				continue
-			}
-			if ratio < *pipelineFloor {
-				fmt.Printf("REGRESSION: pipelined/serialized docs/sec at %s writer(s) = %.2f, floor %.2f\n",
-					writers, ratio, *pipelineFloor)
-				failed = true
-			} else {
-				fmt.Printf("benchgate: pipelined/serialized docs/sec at %s writer(s) = %.2f (floor %.2f)\n",
-					writers, ratio, *pipelineFloor)
-			}
-		}
-	}
-	// Same shape for the observability budget: metrics and span timers on
-	// the ingest hot path must not buy throughput regressions, measured
-	// bare-vs-instrumented in one run so hardware drops out.
-	if *obsFloor > 0 {
-		num := "BenchmarkObsOverhead/instrumented"
-		den := "BenchmarkObsOverhead/bare"
-		if ratio, ok := metrics.RatioCheck(current, "docs/sec", num, den); ok {
-			if ratio < *obsFloor {
-				fmt.Printf("REGRESSION: instrumented/bare ingest docs/sec = %.2f, floor %.2f\n", ratio, *obsFloor)
-				failed = true
-			} else {
-				fmt.Printf("benchgate: instrumented/bare ingest docs/sec = %.2f (floor %.2f)\n", ratio, *obsFloor)
-			}
-		}
-	}
-	// The WAL codec's size claim is a ceiling, not a floor: both encodings
-	// frame the identical records in the same process, so the ratio is
-	// machine-independent and must stay at or below the bound (binary at
-	// least 30% smaller than JSON at the default 0.7).
-	if *walEncCeiling > 0 {
-		num := "BenchmarkWALEncode/binary"
-		den := "BenchmarkWALEncode/json"
-		if ratio, ok := metrics.RatioCheck(current, "bytes/rec", num, den); ok {
-			if ratio > *walEncCeiling {
-				fmt.Printf("REGRESSION: binary/json WAL bytes/rec = %.3f, ceiling %.3f\n", ratio, *walEncCeiling)
-				failed = true
-			} else {
-				fmt.Printf("benchgate: binary/json WAL bytes/rec = %.3f (ceiling %.3f)\n", ratio, *walEncCeiling)
-			}
-		} else {
-			fmt.Printf("REGRESSION: -walenc-ceiling set but BenchmarkWALEncode bytes/rec missing from current run\n")
+	for _, rule := range rules {
+		if ratio, err := rule.Check(current); err != nil {
+			fmt.Printf("REGRESSION: %v\n", err)
 			failed = true
+		} else {
+			fmt.Printf("benchgate: %s holds (ratio %.3f)\n", rule, ratio)
 		}
 	}
 	if *filter != "" {
@@ -143,4 +103,18 @@ func keep(samples []metrics.BenchSample, re *regexp.Regexp) []metrics.BenchSampl
 		}
 	}
 	return out
+}
+
+// ratioRules collects repeated -ratio flags.
+type ratioRules []metrics.RatioRule
+
+func (r *ratioRules) String() string { return fmt.Sprint(*r) }
+
+func (r *ratioRules) Set(s string) error {
+	rule, err := metrics.ParseRatioRule(s)
+	if err != nil {
+		return err
+	}
+	*r = append(*r, rule)
+	return nil
 }

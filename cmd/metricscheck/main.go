@@ -48,8 +48,6 @@ var requiredServing = []string{
 	"verifai_result_cache_misses_total",
 	"verifai_result_cache_invalidations_total",
 	"verifai_result_cache_entries",
-	"verifai_query_cache_hits_total",
-	"verifai_query_cache_misses_total",
 }
 
 // requiredDurable is added for -data-dir deployments (WAL + checkpoints).

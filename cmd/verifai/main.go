@@ -227,7 +227,11 @@ func runClaim(args []string) error {
 	if *withTexts {
 		kinds = append(kinds, verifai.KindText)
 	}
-	report, err := sys.VerifyClaimText("cli-claim", *text, kinds...)
+	claim, err := verifai.ParseClaim(*text)
+	if err != nil {
+		return fmt.Errorf("verifai: %w", err)
+	}
+	report, err := sys.VerifyClaimCtx(context.Background(), "cli-claim", claim, kinds...)
 	if err != nil {
 		return err
 	}
@@ -301,7 +305,7 @@ func runTuple(args []string) error {
 		tp = tp.WithValue(*attr, *value)
 	}
 	fmt.Printf("verifying: %s\n\n", tp.String())
-	report, err := sys.VerifyImputedTuple("cli-tuple", tp, *attr)
+	report, err := sys.VerifyImputedTupleCtx(context.Background(), "cli-tuple", tp, *attr)
 	if err != nil {
 		return err
 	}
@@ -334,7 +338,7 @@ func runDemo(args []string) error {
 	}
 
 	fmt.Println("=== Figure 4: the golf prize-total claim ===")
-	report, err := sys.VerifyClaim("demo-fig4", workload.GolfClaim())
+	report, err := sys.VerifyClaimCtx(context.Background(), "demo-fig4", workload.GolfClaim())
 	if err != nil {
 		return err
 	}
@@ -345,7 +349,7 @@ func runDemo(args []string) error {
 	ohio := workload.OhioDistrictsTable()
 	tp, _ := ohio.TupleAt(2)
 	wrong := tp.WithValue("incumbent", "dave hobson")
-	report, err = sys.VerifyImputedTuple("demo-fig1", wrong, "incumbent")
+	report, err = sys.VerifyImputedTupleCtx(context.Background(), "demo-fig1", wrong, "incumbent")
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package verifai_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,8 +27,11 @@ func Example() {
 		log.Fatal(err)
 	}
 
-	report, err := sys.VerifyClaimText("fig4",
-		"In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total.")
+	claim, err := verifai.ParseClaim("In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total.")
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := sys.VerifyClaimCtx(context.Background(), "fig4", claim)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -38,9 +42,9 @@ func Example() {
 	// The money for tommy bolt, fred haas, and ben hogan was 570, 570, 570 respectively, so the sum is 1710, not 960.
 }
 
-// ExampleSystem_VerifyImputedTuple shows the Figure 1(a) flow: a generated
-// tuple with a wrong incumbent is refuted by the lake.
-func ExampleSystem_VerifyImputedTuple() {
+// ExampleSystem_VerifyImputedTupleCtx shows the Figure 1(a) flow: a
+// generated tuple with a wrong incumbent is refuted by the lake.
+func ExampleSystem_VerifyImputedTupleCtx() {
 	lake := verifai.NewLake()
 	lake.AddSource(verifai.Source{ID: "web", Name: "web tables", TrustPrior: 0.8})
 	ohio := workload.OhioDistrictsTable()
@@ -56,7 +60,7 @@ func ExampleSystem_VerifyImputedTuple() {
 
 	tp, _ := ohio.TupleAt(2) // ohio's 3rd congressional district
 	imputed := tp.WithValue("incumbent", "dave hobson")
-	report, err := sys.VerifyImputedTuple("fig1a", imputed, "incumbent")
+	report, err := sys.VerifyImputedTupleCtx(context.Background(), "fig1a", imputed, "incumbent")
 	if err != nil {
 		log.Fatal(err)
 	}

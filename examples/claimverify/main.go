@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -46,7 +47,7 @@ func main() {
 	fmt.Println("(Ground truth: a false claim that should be Refuted)")
 	fmt.Println()
 
-	report, err := sys.VerifyClaim("fig4", claim)
+	report, err := sys.VerifyClaimCtx(context.Background(), "fig4", claim)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -64,7 +65,7 @@ func main() {
 		}
 		fmt.Printf("tuple %d (%s): %s | verify %s\n", i+1, label, task.Entity(), task.MaskedAttr())
 		for _, m := range modalities {
-			rep, err := sys.VerifyImputedTuple(fmt.Sprintf("x%d-%v", i, m.kind), tuple, task.MaskedAttr(), m.kind)
+			rep, err := sys.VerifyImputedTupleCtx(context.Background(), fmt.Sprintf("x%d-%v", i, m.kind), tuple, task.MaskedAttr(), m.kind)
 			if err != nil {
 				log.Fatal(err)
 			}

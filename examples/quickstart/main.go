@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,11 @@ func main() {
 	// 3. Verify a generated claim. This is the false claim from Figure 4 of
 	// the paper: each of the three players actually won 570, totaling 1710.
 	claimText := "In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total."
-	report, err := sys.VerifyClaimText("fig4-claim", claimText)
+	claim, err := verifai.ParseClaim(claimText)
+	if err != nil {
+		log.Fatal(err)
+	}
+	report, err := sys.VerifyClaimCtx(context.Background(), "fig4-claim", claim)
 	if err != nil {
 		log.Fatal(err)
 	}

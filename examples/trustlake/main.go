@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -68,7 +69,7 @@ func main() {
 	// Pass 1: verify true tuples; collect per-source verdict votes.
 	var votes []trust.Vote
 	for i, task := range tasks {
-		rep, err := sys.VerifyImputedTuple(fmt.Sprintf("t%d", i), task.Tuple, task.MaskedAttr())
+		rep, err := sys.VerifyImputedTupleCtx(context.Background(), fmt.Sprintf("t%d", i), task.Tuple, task.MaskedAttr())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -107,7 +108,7 @@ func main() {
 	// verdicts.
 	correct := 0
 	for i, task := range tasks {
-		rep, err := sys.VerifyImputedTuple(fmt.Sprintf("t%d-pass2", i), task.Tuple, task.MaskedAttr())
+		rep, err := sys.VerifyImputedTupleCtx(context.Background(), fmt.Sprintf("t%d-pass2", i), task.Tuple, task.MaskedAttr())
 		if err != nil {
 			log.Fatal(err)
 		}

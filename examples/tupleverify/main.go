@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -72,7 +73,7 @@ func main() {
 		)
 		tuple := task.Tuple.WithValue(task.MaskedAttr(), imputed)
 
-		report, err := sys.VerifyImputedTuple(fmt.Sprintf("task-%d", i), tuple, task.MaskedAttr())
+		report, err := sys.VerifyImputedTupleCtx(context.Background(), fmt.Sprintf("task-%d", i), tuple, task.MaskedAttr())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -224,7 +225,7 @@ func TestChunkParent(t *testing.T) {
 func TestPipelineVerifyFigure4(t *testing.T) {
 	lake := smallLake(t)
 	p := buildPipeline(t, lake, true)
-	rep, err := p.Verify(golfClaimObject(), datalake.KindTable)
+	rep, err := p.VerifyCtx(context.Background(), golfClaimObject(), datalake.KindTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +267,7 @@ func TestPipelineVerifyTupleObject(t *testing.T) {
 
 	// Correct value: Verified via counterpart tuple + entity page.
 	g := verify.NewTupleObject("g-ok", tp, "money")
-	rep, err := p.Verify(g, datalake.KindTuple, datalake.KindText)
+	rep, err := p.VerifyCtx(context.Background(), g, datalake.KindTuple, datalake.KindText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +278,7 @@ func TestPipelineVerifyTupleObject(t *testing.T) {
 	// Wrong value: Refuted.
 	bad := tp.WithValue("money", "999")
 	g2 := verify.NewTupleObject("g-bad", bad, "money")
-	rep2, err := p.Verify(g2, datalake.KindTuple, datalake.KindText)
+	rep2, err := p.VerifyCtx(context.Background(), g2, datalake.KindTuple, datalake.KindText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ func TestPipelineVerifyEntityEvidence(t *testing.T) {
 	e1, _ := lake.Table("e1")
 	tp, _ := e1.TupleAt(1)
 	g := verify.NewTupleObject("g-kg", tp, "money")
-	rep, err := p.Verify(g, datalake.KindEntity)
+	rep, err := p.VerifyCtx(context.Background(), g, datalake.KindEntity)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,7 +305,7 @@ func TestPipelineVerifyEntityEvidence(t *testing.T) {
 func TestPipelineNoRerankerStillWorks(t *testing.T) {
 	lake := smallLake(t)
 	p := buildPipeline(t, lake, false)
-	rep, err := p.Verify(golfClaimObject(), datalake.KindTable)
+	rep, err := p.VerifyCtx(context.Background(), golfClaimObject(), datalake.KindTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -324,7 +325,7 @@ func TestPipelineNoEvidenceIsNotRelated(t *testing.T) {
 		Value:     "12",
 	}
 	c.Render()
-	rep, err := p.Verify(verify.NewClaimObject("g-none", c), datalake.KindTable)
+	rep, err := p.VerifyCtx(context.Background(), verify.NewClaimObject("g-none", c), datalake.KindTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -375,7 +376,7 @@ func TestPipelineNilProvenance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := p.Verify(golfClaimObject(), datalake.KindTable)
+	rep, err := p.VerifyCtx(context.Background(), golfClaimObject(), datalake.KindTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,7 +425,7 @@ func TestPipelineSurfacesLakeDrift(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Verify(golfClaimObject(), datalake.KindTable); err == nil {
+	if _, err := p.VerifyCtx(context.Background(), golfClaimObject(), datalake.KindTable); err == nil {
 		t.Error("lake drift went unnoticed")
 	}
 }

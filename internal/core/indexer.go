@@ -96,10 +96,6 @@ type IndexerConfig struct {
 	// RetrieveWorkers bounds the worker pool that fans retrieval out across
 	// shards × kinds × index families; <= 0 means GOMAXPROCS.
 	RetrieveWorkers int
-	// QueryCacheSize is the capacity of the query-embedding LRU cache shared
-	// by all retrievals; <= 0 disables the cache. Repeated queries (the
-	// heavy-traffic case) skip the embedding computation entirely.
-	QueryCacheSize int
 }
 
 // DefaultIndexerConfig indexes every modality with both index families.
@@ -120,9 +116,8 @@ func DefaultIndexerConfig(seed uint64) IndexerConfig {
 		Kinds: []datalake.Kind{
 			datalake.KindTable, datalake.KindTuple, datalake.KindText, datalake.KindEntity,
 		},
-		ChunkTokens:    0,
-		Shards:         1,
-		QueryCacheSize: 256,
+		ChunkTokens: 0,
+		Shards:      1,
 	}
 }
 
@@ -143,7 +138,6 @@ type Indexer struct {
 	bm25 map[datalake.Kind][]*invindex.Index
 	vec  map[datalake.Kind][]vectorIndex
 
-	qcache      *queryCache
 	workers     int
 	unsubscribe func()
 
@@ -204,7 +198,6 @@ func newIndexer(lake *datalake.Lake, cfg *IndexerConfig) (*Indexer, error) {
 		cfg:     *cfg,
 		bm25:    make(map[datalake.Kind][]*invindex.Index),
 		vec:     make(map[datalake.Kind][]vectorIndex),
-		qcache:  newQueryCache(cfg.QueryCacheSize),
 		workers: workers,
 	}
 	for _, kind := range cfg.Kinds {
@@ -449,30 +442,6 @@ func (ix *Indexer) reindexEntity(entity string) error {
 	return ix.add(datalake.KindEntity, id, g.SerializeEntity(entity))
 }
 
-// queryVec embeds a query, consulting the LRU cache first.
-func (ix *Indexer) queryVec(query string) embed.Vector {
-	if ix.qcache != nil {
-		if v, ok := ix.qcache.get(query); ok {
-			return v
-		}
-	}
-	v := ix.emb.EmbedText(query)
-	if ix.qcache != nil {
-		ix.qcache.put(query, v)
-	}
-	return v
-}
-
-// QueryCacheStats reports the query-embedding cache's hit/miss counters and
-// current size (all zero when the cache is disabled), for tests and ops
-// dashboards.
-func (ix *Indexer) QueryCacheStats() (hits, misses uint64, size int) {
-	if ix.qcache == nil {
-		return 0, 0, 0
-	}
-	return ix.qcache.stats()
-}
-
 // scoredHit is one shard-local search result.
 type scoredHit struct {
 	id    string
@@ -559,8 +528,8 @@ func (ix *Indexer) search(ctx context.Context, query string, k int, kinds []data
 
 // searchShards is search over explicit shard maps: the live indexes for
 // head reads, or a pinned snapshot's materialized shards for time-travel
-// reads. Everything else — the worker pool, the query-embedding cache,
-// the per-family latency metrics, the merge order — is shared, so a
+// reads. Everything else — the worker pool, the query embedding, the
+// per-family latency metrics, the merge order — is shared, so a
 // pinned retrieval ranks exactly as a head retrieval over the same data.
 func (ix *Indexer) searchShards(ctx context.Context, query string, k int, kinds []datalake.Kind, wantBM25, wantVector bool, bm25 map[datalake.Kind][]*invindex.Index, vec map[datalake.Kind][]vectorIndex) []provenance.RetrievalHit {
 	if len(kinds) == 0 {
@@ -568,9 +537,7 @@ func (ix *Indexer) searchShards(ctx context.Context, query string, k int, kinds 
 	}
 	// Embed the query only when some requested kind actually has a vector
 	// index; BM25-only retrievals (and kinds outside the configured set)
-	// skip the embedding computation entirely. The embedding depends only
-	// on (query, seed), never on index contents, so head and pinned
-	// retrievals share the same cache entry.
+	// skip the embedding computation entirely.
 	var qvec embed.Vector
 	if wantVector {
 		needVec := false
@@ -581,7 +548,7 @@ func (ix *Indexer) searchShards(ctx context.Context, query string, k int, kinds 
 			}
 		}
 		if needVec {
-			qvec = ix.queryVec(query)
+			qvec = ix.emb.EmbedText(query)
 		}
 	}
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -199,41 +200,6 @@ func TestShardedRetrievalAgreesOnTop(t *testing.T) {
 	}
 }
 
-// TestQueryEmbeddingSkippedAndCached checks two retrieval-path
-// optimizations: the query embedding is not computed when the requested
-// kinds have no vector index, and repeated queries hit the LRU cache.
-func TestQueryEmbeddingSkippedAndCached(t *testing.T) {
-	lake := smallLake(t)
-	cfg := DefaultIndexerConfig(1)
-	// Vector family only for tables: text retrievals must skip embedding.
-	cfg.Kinds = []datalake.Kind{datalake.KindTable, datalake.KindText}
-	ix, err := BuildIndexer(lake, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Remove the text-kind vector shards by requesting an unindexed kind:
-	// KindTuple is not configured, so it has no vector (or BM25) index.
-	ix.Retrieve("tommy bolt", 5, datalake.KindTuple)
-	if hits, misses, _ := ix.QueryCacheStats(); hits != 0 || misses != 0 {
-		t.Fatalf("embedding computed for kind with no vector index (hits=%d misses=%d)", hits, misses)
-	}
-
-	ix.Retrieve("tommy bolt", 5, datalake.KindTable)
-	if _, misses, size := ix.QueryCacheStats(); misses != 1 || size != 1 {
-		t.Fatalf("first vector retrieval: misses=%d size=%d, want 1 and 1", misses, size)
-	}
-	ix.Retrieve("tommy bolt", 5, datalake.KindTable)
-	if hits, misses, _ := ix.QueryCacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("repeated query: hits=%d misses=%d, want 1 and 1", hits, misses)
-	}
-
-	// BM25-only family retrieval never touches the cache.
-	ix.RetrieveFamily("fresh query", "bm25", 5, datalake.KindTable)
-	if hits, misses, _ := ix.QueryCacheStats(); hits != 1 || misses != 1 {
-		t.Fatalf("bm25-only retrieval embedded the query (hits=%d misses=%d)", hits, misses)
-	}
-}
-
 // TestConcurrentIngestAndQuery runs live ingestion against concurrent
 // retrieval and full verification; run under -race it proves the pipeline
 // serves reads during writes.
@@ -262,7 +228,7 @@ func TestConcurrentIngestAndQuery(t *testing.T) {
 					return
 				default:
 					ix.Retrieve("tommy bolt money", 10)
-					if _, err := p.Verify(g, datalake.KindTable); err != nil {
+					if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable); err != nil {
 						t.Errorf("verify during ingest: %v", err)
 						return
 					}

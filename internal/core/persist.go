@@ -34,8 +34,8 @@ type snapshotMeta struct {
 }
 
 // snapshotConfig is the layout-relevant subset of IndexerConfig. Runtime
-// tuning knobs (worker counts, cache sizes) are deliberately excluded: an
-// operator changing them must not invalidate snapshots.
+// tuning knobs (worker counts) are deliberately excluded: an operator
+// changing them must not invalidate snapshots.
 type snapshotConfig struct {
 	Seed         uint64          `json:"seed"`
 	EmbedDim     int             `json:"embed_dim"`

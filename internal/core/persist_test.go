@@ -153,7 +153,6 @@ func TestSnapshotMismatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	tuned := cfg
-	tuned.QueryCacheSize = 1
 	tuned.RetrieveWorkers = 2
 	loaded, err := BuildIndexerFromSnapshot(lake2, tuned, dir2)
 	if err != nil {

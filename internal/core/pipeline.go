@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -28,9 +29,9 @@ type PipelineConfig struct {
 	// ablation's baseline).
 	UseReranker bool
 	// VerifyWorkers bounds concurrent verification of the top-k′ evidence
-	// within one Verify call (order-preserving, like VerifyBatch); <= 1
-	// means sequential. The verifiers are deterministic functions of
-	// (object, evidence), so the report is identical either way.
+	// within one Verify call (order-preserving); <= 1 means sequential.
+	// The verifiers are deterministic functions of (object, evidence), so
+	// the report is identical either way.
 	VerifyWorkers int
 	// ResultCache is the capacity (entries) of the verify-result cache:
 	// completed Reports keyed by (task, object fingerprint, kind set) and
@@ -44,9 +45,9 @@ type PipelineConfig struct {
 	// datalake.DefaultSnapshotRetain.
 	SnapshotRetain int
 	// Metrics, when non-nil, registers the pipeline's serving-path metrics
-	// (per-stage spans, verifier call counters, result- and query-cache
-	// mirrors, per-family shard search latency) with the registry. Nil
-	// disables instrumentation at zero cost on the hot path.
+	// (per-stage spans, verifier call counters, result-cache mirrors,
+	// per-family shard search latency) with the registry. Nil disables
+	// instrumentation at zero cost on the hot path.
 	Metrics *obs.Registry
 }
 
@@ -114,9 +115,9 @@ func NewPipeline(lake *datalake.Lake, indexer *Indexer, rr *rerank.Registry, age
 }
 
 // installMetrics registers the pipeline's serving-path metrics with reg:
-// verifier call volume and latency, mirrors of the result- and
-// query-cache counters (the same atomics Stats() snapshots), and the
-// indexer's per-family shard-search histograms.
+// verifier call volume and latency, mirrors of the result-cache counters
+// (the same atomics Stats() snapshots), and the indexer's per-family
+// shard-search histograms.
 func (p *Pipeline) installMetrics(reg *obs.Registry) {
 	p.obs = reg
 	// Touch the stage family eagerly so an idle system's exposition is
@@ -139,10 +140,6 @@ func (p *Pipeline) installMetrics(reg *obs.Registry) {
 		reg.GaugeFunc("verifai_result_cache_entries",
 			"Verify-result cache resident entries.", func() float64 { return float64(rc.len()) })
 	}
-	reg.CounterFunc("verifai_query_cache_hits_total",
-		"Query-embedding cache hits.", func() uint64 { h, _, _ := p.indexer.QueryCacheStats(); return h })
-	reg.CounterFunc("verifai_query_cache_misses_total",
-		"Query-embedding cache misses.", func() uint64 { _, m, _ := p.indexer.QueryCacheStats(); return m })
 	p.indexer.SetMetrics(reg)
 }
 
@@ -205,9 +202,8 @@ func (p *Pipeline) SetSourceTrust(sourceID string, t float64) {
 }
 
 // Stats reports the pipeline's serving-path counters: verify-result cache
-// hits/misses/invalidations and the indexer's query-embedding cache, for
-// ops dashboards (/v1/stats) and tests. All cache fields are zero when the
-// respective cache is disabled.
+// hits/misses/invalidations, for ops dashboards (/v1/stats) and tests. All
+// fields are zero when the cache is disabled.
 type Stats struct {
 	// ResultCache* describe the verify-result cache. Invalidations counts
 	// entries evicted because a lake write touched a kind they depended on
@@ -217,10 +213,6 @@ type Stats struct {
 	ResultCacheMisses        uint64 `json:"result_cache_misses"`
 	ResultCacheInvalidations uint64 `json:"result_cache_invalidations"`
 	ResultCacheSize          int    `json:"result_cache_size"`
-	// QueryCache* describe the indexer's query-embedding LRU.
-	QueryCacheHits   uint64 `json:"query_cache_hits"`
-	QueryCacheMisses uint64 `json:"query_cache_misses"`
-	QueryCacheSize   int    `json:"query_cache_size"`
 }
 
 // Stats snapshots the pipeline's serving-path counters.
@@ -229,7 +221,6 @@ func (p *Pipeline) Stats() Stats {
 	if p.rcache != nil {
 		s.ResultCacheHits, s.ResultCacheMisses, s.ResultCacheInvalidations, s.ResultCacheSize = p.rcache.stats()
 	}
-	s.QueryCacheHits, s.QueryCacheMisses, s.QueryCacheSize = p.indexer.QueryCacheStats()
 	return s
 }
 
@@ -294,48 +285,73 @@ func (p *Pipeline) normalizeKinds(kinds []datalake.Kind) []datalake.Kind {
 
 // Verify runs the full pipeline for a generated object: retrieve → combine
 // → rerank → verify each evidence instance → resolve a final verdict by
-// trust-weighted vote → record provenance.
+// trust-weighted vote → record provenance. It is the one verification
+// body behind every library and HTTP verify route.
 //
 // kinds restricts the evidence modalities (e.g. only tables for textual
 // claims, as in the paper's Section 4 setting); empty means all indexed
 // modalities.
-func (p *Pipeline) Verify(g verify.Generated, kinds ...datalake.Kind) (Report, error) {
-	return p.VerifyCtx(context.Background(), g, kinds...)
-}
-
-// VerifyCtx is Verify honoring a request context: cancellation or deadline
-// expiry aborts the remaining retrieval fan-out, reranking, and evidence
-// verification and returns the context's error, so an abandoned HTTP
-// request stops burning CPU mid-flight.
+//
+// asOf 0 reads head: the live indexes, lake, and trust overrides. asOf > 0
+// reads the retained snapshot at that version instead: retrieval runs over
+// its frozen shards, evidence resolves from its immutable View, and trust
+// reads the pin-time copy, so the Report — stamped with AsOfVersion — is
+// reproducible no matter how many writes or trust overrides landed since.
+// A version below the retention floor returns datalake.BelowFloorError; one
+// never retained returns datalake.ErrSnapshotNotFound.
+//
+// Cancellation or deadline expiry of ctx aborts the remaining retrieval
+// fan-out, reranking, and evidence verification and returns the context's
+// error, so an abandoned HTTP request stops burning CPU mid-flight.
 //
 // When the result cache is enabled, a Report computed for the same
-// (object, kinds) fingerprint against an unchanged lake (no write touching
-// the requested kinds, no trust override) is returned without recomputing;
-// cancelled or failed verifications are never cached.
-func (p *Pipeline) VerifyCtx(ctx context.Context, g verify.Generated, kinds ...datalake.Kind) (Report, error) {
-	return p.verifyCached(ctx, g, p.cfg.VerifyWorkers, p.normalizeKinds(kinds))
-}
-
-// verifyCached wraps verifyWith with the result-cache lookup/fill — the
-// single serving path behind VerifyCtx and VerifyBatchCtx. kinds must be
-// normalized.
-func (p *Pipeline) verifyCached(ctx context.Context, g verify.Generated, evidenceWorkers int, kinds []datalake.Kind) (Report, error) {
+// (object, kinds) fingerprint is returned without recomputing: at head
+// while no write has touched the requested kinds and no trust override
+// has landed, at a pin for as long as the snapshot is retained (pinned
+// entries are keyed by snapshot identity, so they never collide with head
+// entries). Cancelled or failed verifications are never cached.
+func (p *Pipeline) Verify(ctx context.Context, g verify.Generated, asOf uint64, kinds ...datalake.Kind) (Report, error) {
+	kinds = p.normalizeKinds(kinds)
+	// A pinned read binds the retained snapshot; its cache key embeds the
+	// registry-unique snapshot ID, so entries from one pin generation never
+	// leak into a later re-pin of the same version.
+	var pinned *PinnedSnapshot
+	var pinKey string
+	if asOf != 0 {
+		snap, err := p.snapshots.Acquire(asOf)
+		if err != nil {
+			return Report{}, err
+		}
+		defer snap.Release()
+		p.pinnedReads.Inc()
+		var ok bool
+		if pinned, ok = snap.Payload().(*PinnedSnapshot); !ok {
+			return Report{}, fmt.Errorf("core: snapshot at version %d carries no pinned indexes", asOf)
+		}
+		pinKey = "|pin:" + strconv.FormatUint(asOf, 10) + "." + strconv.FormatUint(snap.ID(), 10)
+	}
 	var key string
+	var version, epoch uint64
 	if p.rcache != nil {
-		key = cacheKey(g, kinds)
+		key = cacheKey(g, kinds) + pinKey
 		if rep, ok := p.rcache.get(key, kinds); ok {
 			return rep, nil
 		}
+		// Stamp validity before touching the indexes: every index read
+		// below reflects at least this published version, and a write
+		// landing mid-verification makes the stamp conservatively stale.
+		version, epoch = p.lake.Version(), p.rcache.epoch.Load()
 	}
-	// Stamp validity before touching the indexes: every index read below
-	// reflects at least this published version, and a write landing
-	// mid-verification makes the stamp conservatively stale.
-	var version, epoch uint64
-	if p.rcache != nil {
-		version = p.lake.Version()
-		epoch = p.rcache.epoch.Load()
+	var src evidenceSource
+	if pinned == nil {
+		src = p.headSource()
+	} else {
+		if err := pinned.materialize(); err != nil {
+			return Report{}, err
+		}
+		src = pinned.source(p.indexer)
 	}
-	rep, err := p.verifyWith(ctx, g, evidenceWorkers, kinds)
+	rep, err := p.verifyAgainst(ctx, g, kinds, src, asOf)
 	if err != nil {
 		return rep, err
 	}
@@ -343,6 +359,11 @@ func (p *Pipeline) verifyCached(ctx context.Context, g verify.Generated, evidenc
 		p.rcache.put(key, kinds, version, epoch, rep)
 	}
 	return rep, nil
+}
+
+// VerifyCtx is Verify at head (asOf 0).
+func (p *Pipeline) VerifyCtx(ctx context.Context, g verify.Generated, kinds ...datalake.Kind) (Report, error) {
+	return p.Verify(ctx, g, 0, kinds...)
 }
 
 // evidenceSource is the seam between the verification flow and the data it
@@ -368,19 +389,10 @@ func (p *Pipeline) headSource() evidenceSource {
 	}
 }
 
-// verifyWith is VerifyCtx's implementation with an explicit evidence-worker
-// bound, so an outer fan-out (VerifyBatch) can keep total concurrency at
-// its own bound instead of multiplying by cfg.VerifyWorkers. kinds must be
-// normalized (non-empty).
-func (p *Pipeline) verifyWith(ctx context.Context, g verify.Generated, evidenceWorkers int, kinds []datalake.Kind) (Report, error) {
-	return p.verifyAgainst(ctx, g, evidenceWorkers, kinds, p.headSource(), 0)
-}
-
-// verifyAgainst runs the full retrieve → combine → rerank → verify →
-// resolve → provenance flow against an explicit evidence source, stamping
-// the report with asOf (0 for head reads). This is the single verification
-// body behind head and pinned reads.
-func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, evidenceWorkers int, kinds []datalake.Kind, src evidenceSource, asOf uint64) (Report, error) {
+// verifyAgainst runs the retrieve → combine → rerank → verify → resolve →
+// provenance flow against an explicit evidence source, stamping the report
+// with asOf (0 for head reads). kinds must be normalized (non-empty).
+func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, kinds []datalake.Kind, src evidenceSource, asOf uint64) (Report, error) {
 	if err := ctx.Err(); err != nil {
 		return Report{}, err
 	}
@@ -442,7 +454,7 @@ func (p *Pipeline) verifyAgainst(ctx context.Context, g verify.Generated, eviden
 	// (votes, provenance, float accumulation) is bit-identical to the
 	// sequential path.
 	endVerify := p.obs.Span(ctx, "verify")
-	results, err := p.verifyEvidence(ctx, g, ordered, evidenceWorkers)
+	results, err := p.verifyEvidence(ctx, g, ordered, p.cfg.VerifyWorkers)
 	endVerify()
 	if err != nil {
 		return Report{}, err

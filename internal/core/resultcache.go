@@ -183,6 +183,11 @@ func (c *resultCache) shardFor(key string) *rcShard {
 // for a retrieval spanning kinds. Stale entries are evicted on sight and
 // counted as invalidations (invalidation is lazy: the write only advances
 // a watermark, and the entry dies at its next lookup or by LRU pressure).
+// A pinned entry (its Report carries an AsOfVersion) read immutable
+// snapshot state, so neither the per-kind watermarks nor the trust epoch
+// can stale it: its key, which embeds the snapshot's registry-unique
+// identity, is the whole validity story, and it retires only by LRU
+// pressure.
 func (c *resultCache) get(key string, kinds []datalake.Kind) (Report, bool) {
 	minValid := c.minValid(kinds)
 	epoch := c.epoch.Load()
@@ -195,7 +200,7 @@ func (c *resultCache) get(key string, kinds []datalake.Kind) (Report, bool) {
 		return Report{}, false
 	}
 	e := el.Value.(*rcEntry)
-	if e.version < minValid || e.epoch != epoch {
+	if e.report.AsOfVersion == 0 && (e.version < minValid || e.epoch != epoch) {
 		sh.ll.Remove(el)
 		delete(sh.items, key)
 		sh.mu.Unlock()
@@ -213,10 +218,11 @@ func (c *resultCache) get(key string, kinds []datalake.Kind) (Report, bool) {
 }
 
 // put caches a completed Report. version and epoch are the stamps read
-// before the verification's retrieval began; an entry already stale against
-// the current watermarks (a write landed mid-verification) is not inserted.
+// before the verification's retrieval began; a head entry already stale
+// against the current watermarks (a write landed mid-verification) is not
+// inserted. A pinned Report can never go stale, so it is always inserted.
 func (c *resultCache) put(key string, kinds []datalake.Kind, version, epoch uint64, rep Report) {
-	if version < c.minValid(kinds) || epoch != c.epoch.Load() {
+	if rep.AsOfVersion == 0 && (version < c.minValid(kinds) || epoch != c.epoch.Load()) {
 		return
 	}
 	sh := c.shardFor(key)
@@ -229,47 +235,6 @@ func (c *resultCache) put(key string, kinds []datalake.Kind, version, epoch uint
 		return
 	}
 	sh.items[key] = sh.ll.PushFront(&rcEntry{key: key, version: version, epoch: epoch, report: rep})
-	if sh.ll.Len() > sh.cap {
-		last := sh.ll.Back()
-		sh.ll.Remove(last)
-		delete(sh.items, last.Value.(*rcEntry).key)
-	}
-}
-
-// getPinned returns the cached Report for a pin-scoped key. Pinned entries
-// read immutable snapshot state, so neither the per-kind watermarks nor the
-// trust epoch can stale them — the key itself (which embeds the snapshot's
-// registry-unique identity, see pinnedCacheKey) is the whole validity
-// story, and entries retire only by LRU pressure.
-func (c *resultCache) getPinned(key string) (Report, bool) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	el, ok := sh.items[key]
-	if !ok {
-		sh.mu.Unlock()
-		c.misses.Add(1)
-		return Report{}, false
-	}
-	rep := el.Value.(*rcEntry).report
-	sh.ll.MoveToFront(el)
-	sh.mu.Unlock()
-	c.hits.Add(1)
-	return rep, true
-}
-
-// putPinned caches a Report computed against a retained snapshot. No
-// version/epoch stamps: the snapshot is immutable, so the entry can never
-// go stale (its key dies with the pin generation instead).
-func (c *resultCache) putPinned(key string, rep Report) {
-	sh := c.shardFor(key)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.items[key]; ok {
-		el.Value.(*rcEntry).report = rep
-		sh.ll.MoveToFront(el)
-		return
-	}
-	sh.items[key] = sh.ll.PushFront(&rcEntry{key: key, report: rep})
 	if sh.ll.Len() > sh.cap {
 		last := sh.ll.Back()
 		sh.ll.Remove(last)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -72,7 +73,7 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 	defer p.Close()
 	g := golfClaimObject()
 
-	r1, err := p.Verify(g, datalake.KindTable)
+	r1, err := p.VerifyCtx(context.Background(), g, datalake.KindTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +82,7 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 		t.Fatalf("after cold verify: %+v", st)
 	}
 
-	r2, err := p.Verify(g, datalake.KindTable)
+	r2, err := p.VerifyCtx(context.Background(), g, datalake.KindTable)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +98,7 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 	if err := p.Lake().AddDocument(&doc.Document{ID: "other", Text: "unrelated prose", SourceID: "s2"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Verify(g, datalake.KindTable); err != nil {
+	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable); err != nil {
 		t.Fatal(err)
 	}
 	st = p.Stats()
@@ -105,13 +106,13 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 		t.Fatalf("text ingest disturbed a table-only entry: %+v", st)
 	}
 	// But it does invalidate an entry that spanned texts.
-	if _, err := p.Verify(g, datalake.KindTable, datalake.KindText); err != nil {
+	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable, datalake.KindText); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.Lake().AddDocumentVersioned(&doc.Document{ID: "other2", Text: "more prose", SourceID: "s2"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Verify(g, datalake.KindTable, datalake.KindText); err != nil {
+	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable, datalake.KindText); err != nil {
 		t.Fatal(err)
 	}
 	st = p.Stats()
@@ -126,7 +127,7 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 	if err := p.Lake().AddTable(extra); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Verify(g, datalake.KindTable); err != nil {
+	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable); err != nil {
 		t.Fatal(err)
 	}
 	st = p.Stats()
@@ -135,11 +136,11 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 	}
 
 	// A trust override invalidates everything.
-	if _, err := p.Verify(g, datalake.KindTable); err != nil { // re-warm
+	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable); err != nil { // re-warm
 		t.Fatal(err)
 	}
 	p.SetSourceTrust("s1", 0.3)
-	if _, err := p.Verify(g, datalake.KindTable); err != nil {
+	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable); err != nil {
 		t.Fatal(err)
 	}
 	st = p.Stats()
@@ -149,13 +150,13 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 
 	// Re-registering a source (AddSource overwrite) changes the TrustPrior
 	// fallback that verdict resolution reads, so it must invalidate too.
-	if _, err := p.Verify(g, datalake.KindTable); err != nil { // re-warm
+	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable); err != nil { // re-warm
 		t.Fatal(err)
 	}
 	if err := p.Lake().AddSource(datalake.Source{ID: "s1", Name: "tables", TrustPrior: 0.2}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Verify(g, datalake.KindTable); err != nil {
+	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable); err != nil {
 		t.Fatal(err)
 	}
 	st = p.Stats()
@@ -265,7 +266,7 @@ func TestCacheInvalidationOrdering(t *testing.T) {
 			// Before the ingest: nothing decisive, and warm the cache so a
 			// stale entry exists to be (wrongly) served.
 			for i := 0; i < 2; i++ {
-				rep, err := p.Verify(g, tc.kinds...)
+				rep, err := p.VerifyCtx(context.Background(), g, tc.kinds...)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -279,7 +280,7 @@ func TestCacheInvalidationOrdering(t *testing.T) {
 
 			// Acknowledged ingest, then verify: the verdict must flip.
 			tc.ingest(t, lake, token)
-			rep, err := p.Verify(g, tc.kinds...)
+			rep, err := p.VerifyCtx(context.Background(), g, tc.kinds...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -359,7 +360,7 @@ func TestResultCacheConcurrentPipeline(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := p.Verify(g, datalake.KindText); err != nil {
+			if _, err := p.VerifyCtx(context.Background(), g, datalake.KindText); err != nil {
 				t.Error(err)
 				return
 			}
@@ -370,7 +371,7 @@ func TestResultCacheConcurrentPipeline(t *testing.T) {
 	// token-bearing document; every post-ack verify must be Verified.
 	for i := 0; i < 10; i++ {
 		g := claimAbout(fmt.Sprintf("round-%d", i), fmt.Sprintf("claim %d mentioning %s", i, token))
-		rep, err := p.Verify(g, datalake.KindText)
+		rep, err := p.VerifyCtx(context.Background(), g, datalake.KindText)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -381,7 +382,7 @@ func TestResultCacheConcurrentPipeline(t *testing.T) {
 		if err := lake.AddDocument(d); err != nil {
 			t.Fatal(err)
 		}
-		rep, err = p.Verify(g, datalake.KindText)
+		rep, err = p.VerifyCtx(context.Background(), g, datalake.KindText)
 		if err != nil {
 			t.Fatal(err)
 		}

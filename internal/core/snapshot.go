@@ -5,14 +5,12 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"strconv"
 	"sync"
 
 	"repro/internal/datalake"
 	"repro/internal/invindex"
 	"repro/internal/kg"
 	"repro/internal/provenance"
-	"repro/internal/verify"
 )
 
 // Time-travel reads. A checkpoint's fork already pins everything a
@@ -20,9 +18,10 @@ import (
 // capture of every index shard at one version. This file generalizes that
 // pair into a retained, queryable snapshot: the pipeline registers the
 // (View, FrozenIndexes, trust copy) triple with a datalake.SnapshotRegistry,
-// and VerifyAsOfCtx runs the full retrieve→rerank→verify flow against it,
-// so a verdict computed at version v recomputes identically long after the
-// lake (and the operator's trust overrides) have moved on.
+// and Pipeline.Verify at a non-zero asOf runs the full retrieve→rerank→
+// verify flow against it, so a verdict computed at version v recomputes
+// identically long after the lake (and the operator's trust overrides)
+// have moved on.
 
 // PinnedSnapshot is the payload the pipeline hangs on a datalake.Snapshot:
 // the frozen index shards, the trust overrides in force at pin time, and —
@@ -262,62 +261,4 @@ func (p *Pipeline) RegisterRecoveredSnapshot(view *datalake.View, dir string, tr
 		return nil, err
 	}
 	return p.snapshots.Add(view, ps, true), nil
-}
-
-// VerifyAsOf is VerifyAsOfCtx with a background context.
-func (p *Pipeline) VerifyAsOf(g verify.Generated, asOf uint64, kinds ...datalake.Kind) (Report, error) {
-	return p.VerifyAsOfCtx(context.Background(), g, asOf, kinds...)
-}
-
-// VerifyAsOfCtx verifies g against the retained snapshot at version asOf
-// instead of the live lake: retrieval runs over the snapshot's frozen
-// shards, evidence resolves from its immutable View, and trust reads the
-// pin-time copy, so the Report — stamped with AsOfVersion — is
-// reproducible no matter how many writes or trust overrides landed since.
-// asOf 0 means head (plain VerifyCtx). A version below the retention
-// floor returns datalake.BelowFloorError; one never retained returns
-// datalake.ErrSnapshotNotFound. Pinned results cache under a pin-scoped
-// key, so they never collide with head entries and survive head
-// invalidation for as long as the snapshot is retained.
-func (p *Pipeline) VerifyAsOfCtx(ctx context.Context, g verify.Generated, asOf uint64, kinds ...datalake.Kind) (Report, error) {
-	if asOf == 0 {
-		return p.VerifyCtx(ctx, g, kinds...)
-	}
-	snap, err := p.snapshots.Acquire(asOf)
-	if err != nil {
-		return Report{}, err
-	}
-	defer snap.Release()
-	p.pinnedReads.Inc()
-	ps, ok := snap.Payload().(*PinnedSnapshot)
-	if !ok {
-		return Report{}, fmt.Errorf("core: snapshot at version %d carries no pinned indexes", asOf)
-	}
-	kk := p.normalizeKinds(kinds)
-	var key string
-	if p.rcache != nil {
-		key = pinnedCacheKey(g, kk, snap)
-		if rep, ok := p.rcache.getPinned(key); ok {
-			return rep, nil
-		}
-	}
-	if err := ps.materialize(); err != nil {
-		return Report{}, err
-	}
-	rep, err := p.verifyAgainst(ctx, g, p.cfg.VerifyWorkers, kk, ps.source(p.indexer), asOf)
-	if err != nil {
-		return rep, err
-	}
-	if p.rcache != nil {
-		p.rcache.putPinned(key, rep)
-	}
-	return rep, nil
-}
-
-// pinnedCacheKey scopes a result-cache key to one snapshot identity. The
-// suffix cannot collide with head keys (their tail is a comma-separated
-// kind list) and the registry-unique snapshot ID keeps entries from one
-// pin generation from leaking into a later re-pin of the same version.
-func pinnedCacheKey(g verify.Generated, kinds []datalake.Kind, snap *datalake.Snapshot) string {
-	return cacheKey(g, kinds) + "|pin:" + strconv.FormatUint(snap.Version(), 10) + "." + strconv.FormatUint(snap.ID(), 10)
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strconv"
 	"strings"
@@ -223,7 +224,7 @@ func (e *Env) AblateTrust(res *AblationsResult) error {
 		for _, task := range tasks {
 			// Impute the TRUE value: ground truth final verdict is Verified.
 			g := verify.NewTupleObject("trust:"+task.TableID, task.Tuple, task.MaskedAttr())
-			rep, err := p.Verify(g, datalake.KindTuple)
+			rep, err := p.VerifyCtx(context.TODO(), g, datalake.KindTuple)
 			if err != nil {
 				return 0, nil, err
 			}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
@@ -53,7 +54,7 @@ func (e *Env) Figure1() (Figure1Result, error) {
 	// Case 1: incumbent of the 1st district imputed correctly.
 	t0, _ := ohio.TupleAt(0)
 	g0 := verify.NewTupleObject("fig1:ohio-1", t0, "incumbent")
-	rep0, err := p.Verify(g0, datalake.KindTuple, datalake.KindText)
+	rep0, err := p.VerifyCtx(context.TODO(), g0, datalake.KindTuple, datalake.KindText)
 	if err != nil {
 		return res, fmt.Errorf("experiments: figure1 case1: %w", err)
 	}
@@ -64,7 +65,7 @@ func (e *Env) Figure1() (Figure1Result, error) {
 	t2, _ := ohio.TupleAt(2)
 	wrong := t2.WithValue("incumbent", "dave hobson")
 	g2 := verify.NewTupleObject("fig1:ohio-3", wrong, "incumbent")
-	rep2, err := p.Verify(g2, datalake.KindTuple, datalake.KindText)
+	rep2, err := p.VerifyCtx(context.TODO(), g2, datalake.KindTuple, datalake.KindText)
 	if err != nil {
 		return res, fmt.Errorf("experiments: figure1 case2: %w", err)
 	}
@@ -77,7 +78,7 @@ func (e *Env) Figure1() (Figure1Result, error) {
 	claim.Value = "coco" // the generator's wrong answer
 	claim.Render()
 	g3 := verify.NewClaimObject("fig1:stomp-the-yard", claim)
-	rep3, err := p.Verify(g3, datalake.KindTable, datalake.KindText)
+	rep3, err := p.VerifyCtx(context.TODO(), g3, datalake.KindTable, datalake.KindText)
 	if err != nil {
 		return res, fmt.Errorf("experiments: figure1 case3: %w", err)
 	}
@@ -114,7 +115,7 @@ func (e *Env) Figure4() (Figure4Result, error) {
 	}
 	claim := workload.GolfClaim()
 	g := verify.NewClaimObject("fig4:golf", claim)
-	rep, err := p.Verify(g, datalake.KindTable)
+	rep, err := p.VerifyCtx(context.TODO(), g, datalake.KindTable)
 	if err != nil {
 		return Figure4Result{}, fmt.Errorf("experiments: figure4: %w", err)
 	}

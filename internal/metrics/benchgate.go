@@ -120,22 +120,66 @@ func (r BenchRegression) String() string {
 // unit within a single run — the machine-independent companion to the
 // absolute baseline comparison (e.g. "pipelined ingest throughput over
 // serialized, same machine, same run"). ok is false when either benchmark
-// or the unit is missing.
+// or the unit is missing, or the denominator is zero.
 func RatioCheck(samples []BenchSample, unit, numerator, denominator string) (ratio float64, ok bool) {
 	var num, den float64
 	var haveNum, haveDen bool
 	for _, s := range samples {
 		switch s.Name {
 		case numerator:
-			num, haveNum = s.Metrics[unit], true
+			num, haveNum = s.Metrics[unit]
 		case denominator:
-			den, haveDen = s.Metrics[unit], true
+			den, haveDen = s.Metrics[unit]
 		}
 	}
 	if !haveNum || !haveDen || den == 0 {
 		return 0, false
 	}
 	return num / den, true
+}
+
+// RatioRule is one within-run ratio bound: Num's Unit metric over Den's,
+// measured in the same run, must be >= Bound (a floor) or <= Bound (a
+// ceiling). Both benchmarks run in one process, so the rule holds on any
+// hardware.
+type RatioRule struct {
+	Num, Den, Unit string
+	Op             string // ">=" or "<="
+	Bound          float64
+}
+
+// ParseRatioRule parses a rule written "NUM / DEN UNIT >= x" or
+// "NUM / DEN UNIT <= x", e.g.
+// "BenchmarkWALEncode/binary / BenchmarkWALEncode/json bytes/rec <= 0.7".
+func ParseRatioRule(s string) (RatioRule, error) {
+	f := strings.Fields(s)
+	if len(f) != 6 || f[1] != "/" || (f[4] != ">=" && f[4] != "<=") {
+		return RatioRule{}, fmt.Errorf("metrics: ratio rule %q: want 'NUM / DEN UNIT >= x' or 'NUM / DEN UNIT <= x'", s)
+	}
+	bound, err := strconv.ParseFloat(f[5], 64)
+	if err != nil {
+		return RatioRule{}, fmt.Errorf("metrics: ratio rule %q: bad bound: %v", s, err)
+	}
+	return RatioRule{Num: f[0], Den: f[2], Unit: f[3], Op: f[4], Bound: bound}, nil
+}
+
+// String renders the rule in the syntax ParseRatioRule reads.
+func (r RatioRule) String() string {
+	return fmt.Sprintf("%s / %s %s %s %g", r.Num, r.Den, r.Unit, r.Op, r.Bound)
+}
+
+// Check evaluates the rule against one run. It fails (non-nil error) on a
+// bound violation and also when either benchmark or the unit is missing
+// from the run: a rule that cannot be evaluated never passes.
+func (r RatioRule) Check(samples []BenchSample) (ratio float64, err error) {
+	ratio, ok := RatioCheck(samples, r.Unit, r.Num, r.Den)
+	if !ok {
+		return 0, fmt.Errorf("%s: benchmark or unit missing from the run", r)
+	}
+	if (r.Op == ">=" && ratio < r.Bound) || (r.Op == "<=" && ratio > r.Bound) {
+		return ratio, fmt.Errorf("%s: ratio is %.3f", r, ratio)
+	}
+	return ratio, nil
 }
 
 // CompareBench flags every metric present in both runs that regressed by

@@ -139,3 +139,53 @@ func TestRatioCheck(t *testing.T) {
 		t.Fatal("RatioCheck ok for missing unit")
 	}
 }
+
+func TestRatioRule(t *testing.T) {
+	samples := []BenchSample{
+		{Name: "BenchmarkIngestThroughput/pipelined/writers=4", Metrics: map[string]float64{"docs/sec": 900}},
+		{Name: "BenchmarkIngestThroughput/serialized/writers=4", Metrics: map[string]float64{"docs/sec": 1000}},
+		{Name: "BenchmarkWALEncode/binary", Metrics: map[string]float64{"bytes/rec": 60}},
+		{Name: "BenchmarkWALEncode/json", Metrics: map[string]float64{"bytes/rec": 100}},
+	}
+	const (
+		pipe = "BenchmarkIngestThroughput/pipelined/writers=4 / BenchmarkIngestThroughput/serialized/writers=4 docs/sec"
+		wal  = "BenchmarkWALEncode/binary / BenchmarkWALEncode/json bytes/rec"
+	)
+	for _, tc := range []struct {
+		name, rule string
+		pass       bool
+	}{
+		{"floor holds", pipe + " >= 0.8", true},
+		{"floor holds at the bound", pipe + " >= 0.9", true},
+		{"floor violated", pipe + " >= 0.95", false},
+		{"ceiling holds", wal + " <= 0.7", true},
+		{"ceiling violated", wal + " <= 0.5", false},
+		{"missing numerator", "BenchmarkObsOverhead/instrumented / BenchmarkIngestThroughput/serialized/writers=4 docs/sec >= 0.8", false},
+		{"missing denominator", "BenchmarkIngestThroughput/pipelined/writers=4 / BenchmarkObsOverhead/bare docs/sec >= 0.8", false},
+		{"missing unit", "BenchmarkWALEncode/binary / BenchmarkWALEncode/json docs/sec <= 0.7", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rule, err := ParseRatioRule(tc.rule)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rule.String() != tc.rule {
+				t.Errorf("String() = %q, want %q", rule.String(), tc.rule)
+			}
+			if _, err := rule.Check(samples); (err == nil) != tc.pass {
+				t.Errorf("Check error = %v, want pass=%v", err, tc.pass)
+			}
+		})
+	}
+	for _, bad := range []string{
+		"",
+		"A / B docs/sec > 0.8",
+		"A B docs/sec >= 0.8",
+		"A / B docs/sec >= x",
+		"A / B >= 0.8",
+	} {
+		if _, err := ParseRatioRule(bad); err == nil {
+			t.Errorf("ParseRatioRule(%q) accepted", bad)
+		}
+	}
+}

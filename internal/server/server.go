@@ -496,9 +496,39 @@ func writeVerifyError(w http.ResponseWriter, r *http.Request, err error) {
 
 // --- handlers ---
 
+// verifyPreamble runs the request steps every verify route shares once
+// its body is decoded and validated: parse ?version=, probe the pin (an
+// unretained version fails fast, before admission), wait for
+// ?min_version= (before admission: a waiting request must not hold a
+// verify slot), claim an admission slot, and derive the verification
+// context. On failure the response is already written and ok is false;
+// on success the caller must call done exactly once.
+func (s *Server) verifyPreamble(w http.ResponseWriter, r *http.Request) (ctx context.Context, asOf uint64, done func(), ok bool) {
+	if asOf, ok = parseVersionParam(w, r); !ok {
+		return nil, 0, nil, false
+	}
+	if asOf != 0 {
+		snap, err := s.pipeline.Snapshots().Acquire(asOf)
+		if err != nil {
+			s.writeSnapshotError(w, asOf, err)
+			return nil, 0, nil, false
+		}
+		snap.Release()
+	}
+	if !s.waitMinVersion(w, r) {
+		return nil, 0, nil, false
+	}
+	release, ok := s.admit(w)
+	if !ok {
+		return nil, 0, nil, false
+	}
+	ctx, cancel := s.verifyContext(r)
+	return ctx, asOf, func() { cancel(); release() }, true
+}
+
 // verifyHandler serves one single-object verify route (claim or tuple):
-// decode the request, build the generated object, parse ?version=, wait
-// for ?min_version=, claim an admission slot, then verify.
+// decode the request, build the generated object, run the shared
+// preamble, then verify.
 func verifyHandler[Req any](s *Server, build func(Req) (verify.Generated, []datalake.Kind, *reqError)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		if r.Method != http.MethodPost {
@@ -514,24 +544,15 @@ func verifyHandler[Req any](s *Server, build func(Req) (verify.Generated, []data
 			writeError(w, rerr.status, "%v", rerr)
 			return
 		}
-		asOf, ok := parseVersionParam(w, r)
+		ctx, asOf, done, ok := s.verifyPreamble(w, r)
 		if !ok {
 			return
 		}
-		// Freshness barrier before admission: a waiting request must not
-		// hold a verify slot.
-		if !s.waitMinVersion(w, r) {
-			return
-		}
-		release, ok := s.admit(w)
-		if !ok {
-			return
-		}
-		defer release()
-		ctx, cancel := s.verifyContext(r)
-		defer cancel()
-		report, err := s.pipeline.VerifyAsOfCtx(ctx, g, asOf, kinds...)
+		defer done()
+		report, err := s.pipeline.Verify(ctx, g, asOf, kinds...)
 		if err != nil {
+			// The pin probe passed, but retention may have collected the
+			// snapshot since.
 			if snapshotResolveError(err) {
 				s.writeSnapshotError(w, asOf, err)
 				return
@@ -567,14 +588,15 @@ func buildClaimObject(req ClaimRequest) (verify.Generated, []datalake.Kind, *req
 	if err != nil {
 		return verify.Generated{}, nil, &reqError{status: http.StatusUnprocessableEntity, msg: fmt.Sprintf("unparseable claim: %v", err)}
 	}
-	kinds, err := parseKinds(req.Kinds, []datalake.Kind{datalake.KindTable})
-	if err != nil {
-		return verify.Generated{}, nil, badRequest("%v", err)
-	}
 	if req.ID == "" {
 		req.ID = "http-claim"
 	}
-	return verify.NewClaimObject(req.ID, c), kinds, nil
+	g := verify.NewClaimObject(req.ID, c)
+	kinds, err := parseKinds(req.Kinds, verify.DefaultEvidenceKinds(g.Kind))
+	if err != nil {
+		return verify.Generated{}, nil, badRequest("%v", err)
+	}
+	return g, kinds, nil
 }
 
 // buildTupleObject validates a TupleRequest into a generated object and its
@@ -590,14 +612,15 @@ func buildTupleObject(req TupleRequest) (verify.Generated, []datalake.Kind, *req
 	if _, ok := tp.Value(req.Attr); !ok {
 		return verify.Generated{}, nil, badRequest("tuple has no attribute %q", req.Attr)
 	}
-	kinds, err := parseKinds(req.Kinds, []datalake.Kind{datalake.KindTuple, datalake.KindText})
-	if err != nil {
-		return verify.Generated{}, nil, badRequest("%v", err)
-	}
 	if req.ID == "" {
 		req.ID = "http-tuple"
 	}
-	return verify.NewTupleObject(req.ID, tp, req.Attr), kinds, nil
+	g := verify.NewTupleObject(req.ID, tp, req.Attr)
+	kinds, err := parseKinds(req.Kinds, verify.DefaultEvidenceKinds(g.Kind))
+	if err != nil {
+		return verify.Generated{}, nil, badRequest("%v", err)
+	}
+	return g, kinds, nil
 }
 
 // maxVerifyBatchItems caps one verify batch; each item is a full
@@ -692,45 +715,25 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 
-	asOf, ok := parseVersionParam(w, r)
+	ctx, asOf, done, ok := s.verifyPreamble(w, r)
 	if !ok {
 		return
 	}
-	if asOf != 0 {
-		// Resolve the pin once, before admission: an unretained version
-		// fails the whole batch fast instead of 256 identical item errors.
-		snap, err := s.pipeline.Snapshots().Acquire(asOf)
-		if err != nil {
-			s.writeSnapshotError(w, asOf, err)
-			return
-		}
-		snap.Release()
-	}
-	if !s.waitMinVersion(w, r) {
-		return
-	}
-	release, ok := s.admit(w)
-	if !ok {
-		return
-	}
-	defer release()
-	ctx, cancel := s.verifyContext(r)
-	defer cancel()
+	defer done()
 
-	// Fan the items across a small worker pool (order-preserving). Kinds
-	// vary per item, so this drives VerifyCtx directly rather than
-	// VerifyBatchCtx; each item still hits the result cache.
+	// Fan the items across a small worker pool (order-preserving); each
+	// item still hits the result cache.
 	resp := VerifyBatchResponse{Results: make([]VerifyBatchItemResult, len(req.Items))}
 	workers := verifyBatchParallelism
 	if workers > len(req.Items) {
 		workers = len(req.Items)
 	}
 	jobs := make(chan int)
-	done := make(chan struct{})
+	finished := make(chan struct{})
 	for wkr := 0; wkr < workers; wkr++ {
 		go func() {
 			for i := range jobs {
-				report, err := s.pipeline.VerifyAsOfCtx(ctx, objects[i], asOf, itemKinds[i]...)
+				report, err := s.pipeline.Verify(ctx, objects[i], asOf, itemKinds[i]...)
 				if err != nil {
 					resp.Results[i].Error = err.Error()
 				} else {
@@ -738,7 +741,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 					resp.Results[i].Report = &vr
 				}
 			}
-			done <- struct{}{}
+			finished <- struct{}{}
 		}()
 	}
 	for i := range req.Items {
@@ -746,7 +749,7 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	close(jobs)
 	for wkr := 0; wkr < workers; wkr++ {
-		<-done
+		<-finished
 	}
 
 	for _, res := range resp.Results {

@@ -147,6 +147,30 @@ func TestVersionParamContract(t *testing.T) {
 	}
 }
 
+// TestPinProbedBeforeAdmission checks that every verify route resolves
+// ?version= before claiming an admission slot: with the limiter saturated,
+// an unretained version still answers 409, not 429.
+func TestPinProbedBeforeAdmission(t *testing.T) {
+	_, p := newSnapshotTestServer(t)
+	srv := New(p, WithVerifyConcurrency(1))
+	ts := httptest.NewServer(srv)
+	t.Cleanup(ts.Close)
+	srv.verifySem <- struct{}{} // hold the only slot
+	const text = "In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total."
+	for path, body := range map[string]any{
+		"/v1/verify/claim": ClaimRequest{ID: "c", Text: text},
+		"/v1/verify/tuple": TupleRequest{ID: "t", Columns: []string{"player", "money"}, Values: []string{"tommy bolt", "570"}, Attr: "money"},
+		"/v1/verify/batch": VerifyBatchRequest{Items: []VerifyBatchItem{{Type: "claim", ID: "c", Text: text}}},
+	} {
+		if resp, got := postJSON(t, ts.URL+path+"?version=2", body); resp.StatusCode != http.StatusConflict {
+			t.Errorf("%s?version=2 with the limiter saturated: status = %d, want 409 (%s)", path, resp.StatusCode, got)
+		}
+	}
+	if resp, got := postJSON(t, ts.URL+"/v1/verify/claim", ClaimRequest{ID: "c", Text: text}); resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("head read with the limiter saturated: status = %d, want 429 (%s)", resp.StatusCode, got)
+	}
+}
+
 // TestSnapshotsEndpoint exercises GET/POST /v1/snapshots: listing, pinning
 // the head, verifying at the new pin, and unpinning.
 func TestSnapshotsEndpoint(t *testing.T) {

@@ -113,6 +113,21 @@ func NewClaimObject(id string, c claims.Claim) Generated {
 	return Generated{Kind: KindClaim, Claim: c, ID: id}
 }
 
+// DefaultEvidenceKinds returns the evidence modalities an object of kind k
+// is verified against when the caller names none — the paper's Section 4
+// settings: tables for textual claims, tuples and texts for tuple
+// completion. Nil (every indexed modality) for any other kind.
+func DefaultEvidenceKinds(k Kind) []datalake.Kind {
+	switch k {
+	case KindClaim:
+		return []datalake.Kind{datalake.KindTable}
+	case KindTuple:
+		return []datalake.Kind{datalake.KindTuple, datalake.KindText}
+	default:
+		return nil
+	}
+}
+
 // Query serializes the object for retrieval (the query handed to the
 // Indexer).
 func (g Generated) Query() string {

@@ -1,6 +1,7 @@
 package verifai
 
 import (
+	"context"
 	"testing"
 )
 
@@ -18,7 +19,7 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 
 	// A claim about a table that does not exist yet.
 	claimText := "In 1962 open championship, the prize for arnold palmer was 1400."
-	report, err := sys.VerifyClaimText("pre-ingest", claimText)
+	report, err := sys.VerifyClaimCtx(context.Background(), "pre-ingest", mustParseClaim(t, claimText))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +38,7 @@ func TestLiveIngestEndToEnd(t *testing.T) {
 		t.Fatalf("lake version = %d after AddTable, want %d", got, base+1)
 	}
 
-	report, err = sys.VerifyClaimText("post-ingest", claimText)
+	report, err = sys.VerifyClaimCtx(context.Background(), "post-ingest", mustParseClaim(t, claimText))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +140,7 @@ func TestBatchIngestFlushClose(t *testing.T) {
 	}
 
 	// Applied when AddBatch returns: verify immediately.
-	report, err := sys.VerifyClaimText("batch", "In 1971 open championship, the prize for lee trevino was 5500.")
+	report, err := sys.VerifyClaimCtx(context.Background(), "batch", mustParseClaim(t, "In 1971 open championship, the prize for lee trevino was 5500."))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestBatchIngestFlushClose(t *testing.T) {
 		t.Fatal("AddBatch after Close succeeded, want error")
 	}
 	// Still queryable on the final state.
-	report, err = sys.VerifyClaimText("post-close", "In 1971 open championship, the prize for lee trevino was 5500.")
+	report, err = sys.VerifyClaimCtx(context.Background(), "post-close", mustParseClaim(t, "In 1971 open championship, the prize for lee trevino was 5500."))
 	if err != nil {
 		t.Fatal(err)
 	}

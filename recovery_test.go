@@ -1,6 +1,7 @@
 package verifai
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -95,7 +96,7 @@ func TestDurableKillRecovery(t *testing.T) {
 	}
 
 	// The recovered indexes serve the paper's Figure 4 claim end to end.
-	report, err := recovered.VerifyClaim("rec-golf", workload.GolfClaim())
+	report, err := recovered.VerifyClaimCtx(context.Background(), "rec-golf", workload.GolfClaim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +162,7 @@ func TestDurableCheckpointRecovery(t *testing.T) {
 	if ds.ReplayedRecords != 1 {
 		t.Errorf("replayed %d records, want 1 (just the post-checkpoint doc)", ds.ReplayedRecords)
 	}
-	report, err := recovered.VerifyClaim("rec-golf", workload.GolfClaim())
+	report, err := recovered.VerifyClaimCtx(context.Background(), "rec-golf", workload.GolfClaim())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -106,11 +106,11 @@ func TestReplicationEndToEnd(t *testing.T) {
 	ohio := workload.OhioDistrictsTable()
 	tp, _ := ohio.TupleAt(2)
 	wrong := tp.WithValue("incumbent", "dave hobson")
-	lrep, err := leader.VerifyImputedTuple("e2e-fig1", wrong, "incumbent")
+	lrep, err := leader.VerifyImputedTupleCtx(context.Background(), "e2e-fig1", wrong, "incumbent")
 	if err != nil {
 		t.Fatal(err)
 	}
-	frep, err := follower.VerifyImputedTuple("e2e-fig1", wrong, "incumbent")
+	frep, err := follower.VerifyImputedTupleCtx(context.Background(), "e2e-fig1", wrong, "incumbent")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -186,7 +186,7 @@ func TestReplicationEndToEnd(t *testing.T) {
 	}
 	// The resumed follower serves evidence from checkpoint, pre-restart
 	// stream, and post-restart stream alike.
-	rep, err := resumed.VerifyClaim("e2e-golf", workload.GolfClaim())
+	rep, err := resumed.VerifyClaimCtx(context.Background(), "e2e-golf", workload.GolfClaim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,11 +243,11 @@ func TestReplicationEndToEndCrossFormat(t *testing.T) {
 	ohio := workload.OhioDistrictsTable()
 	tp, _ := ohio.TupleAt(2)
 	wrong := tp.WithValue("incumbent", "dave hobson")
-	lrep, err := leader.VerifyImputedTuple("xfmt-fig1", wrong, "incumbent")
+	lrep, err := leader.VerifyImputedTupleCtx(context.Background(), "xfmt-fig1", wrong, "incumbent")
 	if err != nil {
 		t.Fatal(err)
 	}
-	frep, err := follower.VerifyImputedTuple("xfmt-fig1", wrong, "incumbent")
+	frep, err := follower.VerifyImputedTupleCtx(context.Background(), "xfmt-fig1", wrong, "incumbent")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func TestPinnedVerdictReproducible(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	claim := "In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total."
+	claim := mustParseClaim(t, "In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total.")
 	// The case tables carry SourceID "paper-cases"; weight it explicitly so
 	// the pin must capture a live trust override, not just a lake prior.
 	sys.SetSourceTrust("paper-cases", 0.9)
@@ -34,7 +34,7 @@ func TestPinnedVerdictReproducible(t *testing.T) {
 
 	// Baseline pinned read: computed from the frozen shards, cached under
 	// the pin, stamped with it.
-	rep0, err := sys.VerifyClaimTextAsOfCtx(ctx, "repro", claim, pin)
+	rep0, err := sys.Verify(ctx, NewClaimObject("repro", claim), pin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPinnedVerdictReproducible(t *testing.T) {
 	sys.SetSourceTrust("paper-cases", 0.05)
 
 	// Head moved: a fresh head read sees the re-weighted trust.
-	head, err := sys.VerifyClaimTextCtx(ctx, "head-after-churn", claim)
+	head, err := sys.VerifyClaimCtx(ctx, "head-after-churn", claim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestPinnedVerdictReproducible(t *testing.T) {
 	// Same request at the same pin: identical report, served by the result
 	// cache — the pinned entry must survive 1000 invalidating writes.
 	hitsBefore := sys.Stats().ResultCacheHits
-	rep1, err := sys.VerifyClaimTextAsOfCtx(ctx, "repro", claim, pin)
+	rep1, err := sys.Verify(ctx, NewClaimObject("repro", claim), pin)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func TestPinnedVerdictReproducible(t *testing.T) {
 	// New request ID at the same pin: a cache miss, recomputed end-to-end
 	// from the frozen shards — still the same verdict, evidence, and
 	// pin-time trust, differing only in request identity and lineage seq.
-	rep2, err := sys.VerifyClaimTextAsOfCtx(ctx, "repro-recompute", claim, pin)
+	rep2, err := sys.Verify(ctx, NewClaimObject("repro-recompute", claim), pin)
 	if err != nil {
 		t.Fatal(err)
 	}

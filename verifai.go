@@ -44,12 +44,14 @@
 //	lake.AddSource(verifai.Source{ID: "web", Name: "web tables"})
 //	_ = lake.AddTable(t) // *verifai.Table
 //	sys, err := verifai.NewSystem(lake, verifai.DefaultOptions(42))
-//	report, err := sys.VerifyClaimText("c1", "In 1954 u.s. open (golf), ...")
+//	c, err := verifai.ParseClaim("In 1954 u.s. open (golf), ...")
+//	report, err := sys.VerifyClaimCtx(ctx, "c1", c)
 //	fmt.Println(report.Verdict, report.Evidence[0].Result.Explanation)
 //
 //	// Live ingestion: index a table added after system construction.
 //	_ = sys.AddTable(t2)
-//	report, err = sys.VerifyClaimText("c2", "In <t2's caption>, ...")
+//	c2, err := verifai.ParseClaim("In <t2's caption>, ...")
+//	report, err = sys.Verify(ctx, verifai.NewClaimObject("c2", c2), 0)
 package verifai
 
 import (
@@ -408,7 +410,7 @@ type SnapshotInfo = datalake.SnapshotInfo
 var ErrSnapshotNotFound = datalake.ErrSnapshotNotFound
 
 // PinSnapshot freezes the lake and indexes at the current version and
-// retains the pair as an explicitly pinned snapshot: VerifyAsOf at the
+// retains the pair as an explicitly pinned snapshot: Verify at the
 // returned version reproduces today's verdicts forever (until
 // UnpinSnapshot), no matter what is ingested or how trust is re-weighted
 // in the meantime. On durable systems the pin also survives restarts: its
@@ -434,7 +436,7 @@ func (s *System) PinSnapshot() (uint64, error) {
 // keep-last-N retention window (and may be collected immediately), and on
 // durable systems its persisted copy is removed first — an unpin that
 // cannot durably stick is reported, with the pin intact. In-flight
-// VerifyAsOf readers at the version finish unharmed.
+// Verify readers at the version finish unharmed.
 func (s *System) UnpinSnapshot(version uint64) error {
 	if s.durable != nil {
 		if err := s.durable.DropPin(version); err != nil {
@@ -624,103 +626,53 @@ func (s *System) Close() error {
 // reads and writes.
 func (s *System) LakeVersion() uint64 { return s.pipeline.Lake().Version() }
 
-// VerifyImputedTuple verifies a generated/imputed tuple's attribute against
-// the lake. id stably identifies the object for provenance; kinds restricts
-// evidence modalities (default: tuples and texts, the paper's Section 4
-// setting for tuple completion).
-func (s *System) VerifyImputedTuple(id string, tp Tuple, attr string, kinds ...Kind) (Report, error) {
-	return s.VerifyImputedTupleCtx(context.Background(), id, tp, attr, kinds...)
-}
-
-// VerifyImputedTupleCtx is VerifyImputedTuple honoring a request context:
-// cancellation or deadline expiry aborts the verification mid-flight
-// (retrieval fan-out, reranking, and evidence verification all stop) and
-// returns the context's error.
-func (s *System) VerifyImputedTupleCtx(ctx context.Context, id string, tp Tuple, attr string, kinds ...Kind) (Report, error) {
-	return s.VerifyImputedTupleAsOfCtx(ctx, id, tp, attr, 0, kinds...)
-}
-
-// VerifyImputedTupleAsOfCtx is VerifyImputedTupleCtx pinned at a retained
-// snapshot version: evidence retrieves, resolves, and weighs exactly as it
-// did at asOf, and the Report is stamped with AsOfVersion. asOf 0 means
-// head. See Pipeline.VerifyAsOfCtx for the error contract (not-retained vs
+// Verify verifies a generated object against the lake — the one library
+// verify entry point (build g with NewClaimObject or NewTupleObject; a
+// tuple object must carry the attribute under verification). kinds
+// restricts evidence modalities; empty means the paper's Section 4
+// setting for the object's type: tables for claims, tuples and texts for
+// tuples.
+//
+// asOf 0 verifies at head. asOf > 0 verifies against the retained
+// snapshot at that version: evidence retrieves, resolves, and weighs
+// exactly as it did at asOf, and the Report is stamped with AsOfVersion.
+// See core.Pipeline.Verify for the error contract (not-retained vs
 // below-floor).
-func (s *System) VerifyImputedTupleAsOfCtx(ctx context.Context, id string, tp Tuple, attr string, asOf uint64, kinds ...Kind) (Report, error) {
-	if _, ok := tp.Value(attr); !ok {
-		return Report{}, fmt.Errorf("verifai: tuple has no attribute %q", attr)
+//
+// Cancellation or deadline expiry of ctx aborts the verification
+// mid-flight (retrieval fan-out, reranking, and evidence verification all
+// stop) and returns the context's error.
+func (s *System) Verify(ctx context.Context, g Generated, asOf uint64, kinds ...Kind) (Report, error) {
+	if g.Kind == verify.KindTuple {
+		if _, ok := g.Tuple.Value(g.Attr); !ok {
+			return Report{}, fmt.Errorf("verifai: tuple has no attribute %q", g.Attr)
+		}
 	}
 	if len(kinds) == 0 {
-		kinds = []Kind{KindTuple, KindText}
+		kinds = verify.DefaultEvidenceKinds(g.Kind)
 	}
-	return s.pipeline.VerifyAsOfCtx(ctx, verify.NewTupleObject(id, tp, attr), asOf, kinds...)
+	return s.pipeline.Verify(ctx, g, asOf, kinds...)
 }
 
-// VerifyClaim verifies a structured claim against the lake. kinds defaults
-// to tables (the paper's Section 4 setting for textual claims).
-func (s *System) VerifyClaim(id string, c Claim, kinds ...Kind) (Report, error) {
-	return s.VerifyClaimCtx(context.Background(), id, c, kinds...)
+// VerifyImputedTupleCtx verifies a generated/imputed tuple's attribute at
+// head: Verify of NewTupleObject(id, tp, attr).
+func (s *System) VerifyImputedTupleCtx(ctx context.Context, id string, tp Tuple, attr string, kinds ...Kind) (Report, error) {
+	return s.Verify(ctx, NewTupleObject(id, tp, attr), 0, kinds...)
 }
 
-// VerifyClaimCtx is VerifyClaim honoring a request context (see
-// VerifyImputedTupleCtx).
+// VerifyClaimCtx verifies a structured claim at head: Verify of
+// NewClaimObject(id, c). Parse natural-language text with ParseClaim.
 func (s *System) VerifyClaimCtx(ctx context.Context, id string, c Claim, kinds ...Kind) (Report, error) {
-	return s.VerifyClaimAsOfCtx(ctx, id, c, 0, kinds...)
-}
-
-// VerifyClaimAsOfCtx is VerifyClaimCtx pinned at a retained snapshot
-// version (see VerifyImputedTupleAsOfCtx); asOf 0 means head.
-func (s *System) VerifyClaimAsOfCtx(ctx context.Context, id string, c Claim, asOf uint64, kinds ...Kind) (Report, error) {
-	if c.Text == "" {
-		c.Render()
-	}
-	if len(kinds) == 0 {
-		kinds = []Kind{KindTable}
-	}
-	return s.pipeline.VerifyAsOfCtx(ctx, verify.NewClaimObject(id, c), asOf, kinds...)
-}
-
-// VerifyClaimText parses a natural-language claim and verifies it.
-func (s *System) VerifyClaimText(id, text string, kinds ...Kind) (Report, error) {
-	return s.VerifyClaimTextCtx(context.Background(), id, text, kinds...)
-}
-
-// VerifyClaimTextCtx is VerifyClaimText honoring a request context (see
-// VerifyImputedTupleCtx).
-func (s *System) VerifyClaimTextCtx(ctx context.Context, id, text string, kinds ...Kind) (Report, error) {
-	return s.VerifyClaimTextAsOfCtx(ctx, id, text, 0, kinds...)
-}
-
-// VerifyClaimTextAsOfCtx is VerifyClaimTextCtx pinned at a retained
-// snapshot version (see VerifyImputedTupleAsOfCtx); asOf 0 means head.
-func (s *System) VerifyClaimTextAsOfCtx(ctx context.Context, id, text string, asOf uint64, kinds ...Kind) (Report, error) {
-	c, err := claims.Parse(text)
-	if err != nil {
-		return Report{}, fmt.Errorf("verifai: %w", err)
-	}
-	return s.VerifyClaimAsOfCtx(ctx, id, c, asOf, kinds...)
-}
-
-// VerifyBatch verifies many generated objects concurrently (order-preserving;
-// parallelism < 1 means sequential). kinds applies to every object.
-func (s *System) VerifyBatch(objects []Generated, parallelism int, kinds ...Kind) ([]Report, error) {
-	return s.pipeline.VerifyBatch(objects, parallelism, kinds...)
-}
-
-// VerifyBatchCtx is VerifyBatch honoring a request context: cancellation
-// stops undispatched objects and aborts in-flight verifications at their
-// next stage boundary.
-func (s *System) VerifyBatchCtx(ctx context.Context, objects []Generated, parallelism int, kinds ...Kind) ([]Report, error) {
-	return s.pipeline.VerifyBatchCtx(ctx, objects, parallelism, kinds...)
+	return s.Verify(ctx, NewClaimObject(id, c), 0, kinds...)
 }
 
 // PipelineStats reports the serving-path counters: verify-result cache
-// hits/misses/invalidations and the query-embedding cache (see
-// core.Pipeline.Stats).
+// hits/misses/invalidations (see core.Pipeline.Stats).
 type PipelineStats = core.Stats
 
 // Stats snapshots the serving-path cache counters: verify-result cache
-// hits, misses, invalidations, and resident entries, plus the
-// query-embedding cache. The same counters (and much more — per-stage
+// hits, misses, invalidations, and resident entries. The same counters
+// (and much more — per-stage
 // latency, WAL and checkpoint timings, replication lag) are exposed as
 // named metrics through Metrics(); this snapshot exists for programmatic
 // use and the /v1/stats JSON surface.

@@ -1,7 +1,7 @@
 package verifai
 
 import (
-	"fmt"
+	"context"
 	"strings"
 	"testing"
 
@@ -45,13 +45,23 @@ func noiseFreeOptions(seed uint64) Options {
 	return o
 }
 
+// mustParseClaim parses a template claim, failing the test on error.
+func mustParseClaim(t *testing.T, text string) Claim {
+	t.Helper()
+	c, err := ParseClaim(text)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	sys, err := NewSystem(caseLake(t), noiseFreeOptions(42))
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := sys.VerifyClaimText("golf",
-		"In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total.")
+	claim := mustParseClaim(t, "In 1954 u.s. open (golf), the cash prize for tommy bolt, fred haas, and ben hogan was 960 in total.")
+	report, err := sys.VerifyClaimCtx(context.Background(), "golf", claim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +87,7 @@ func TestVerifyImputedTuple(t *testing.T) {
 	ohio := workload.OhioDistrictsTable()
 	tp, _ := ohio.TupleAt(0)
 
-	rep, err := sys.VerifyImputedTuple("ohio-1", tp, "incumbent")
+	rep, err := sys.VerifyImputedTupleCtx(context.Background(), "ohio-1", tp, "incumbent")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +96,7 @@ func TestVerifyImputedTuple(t *testing.T) {
 	}
 
 	wrong := tp.WithValue("incumbent", "someone else")
-	rep, err = sys.VerifyImputedTuple("ohio-1-bad", wrong, "incumbent")
+	rep, err = sys.VerifyImputedTupleCtx(context.Background(), "ohio-1-bad", wrong, "incumbent")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +105,7 @@ func TestVerifyImputedTuple(t *testing.T) {
 	}
 
 	// Unknown attribute is rejected.
-	if _, err := sys.VerifyImputedTuple("x", tp, "nonexistent"); err == nil {
+	if _, err := sys.VerifyImputedTupleCtx(context.Background(), "x", tp, "nonexistent"); err == nil {
 		t.Error("unknown attribute accepted")
 	}
 }
@@ -106,7 +116,7 @@ func TestVerifyClaimAgainstTextEvidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	claim := workload.StompTheYardClaim() // true claim: role was april palmer
-	rep, err := sys.VerifyClaim("stomp", claim, KindTable, KindText)
+	rep, err := sys.VerifyClaimCtx(context.Background(), "stomp", claim, KindTable, KindText)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,12 +137,8 @@ func TestParseClaimErrors(t *testing.T) {
 	if _, err := ParseClaim("free-form text with no template"); err == nil {
 		t.Error("freeform text parsed")
 	}
-	sys, err := NewSystem(caseLake(t), noiseFreeOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.VerifyClaimText("x", "not a claim"); err == nil {
-		t.Error("unparseable claim verified")
+	if _, err := ParseClaim("not a claim"); err == nil {
+		t.Error("unparseable claim parsed")
 	}
 }
 
@@ -142,7 +148,7 @@ func TestProvenanceRecorded(t *testing.T) {
 		t.Fatal(err)
 	}
 	claim := workload.GolfClaim()
-	rep, err := sys.VerifyClaim("golf", claim)
+	rep, err := sys.VerifyClaimCtx(context.Background(), "golf", claim)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +188,7 @@ func TestSetSourceTrustAffectsConfidence(t *testing.T) {
 		t.Fatal(err)
 	}
 	sys.SetSourceTrust("cases", 0.95)
-	rep, err := sys.VerifyClaim("golf2", workload.GolfClaim())
+	rep, err := sys.VerifyClaimCtx(context.Background(), "golf2", workload.GolfClaim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,28 +220,6 @@ func TestNewSystemValidation(t *testing.T) {
 	}
 	if sys.Provenance() != nil {
 		t.Error("zero options enabled provenance")
-	}
-}
-
-func TestVerifyBatchPublicAPI(t *testing.T) {
-	sys, err := NewSystem(caseLake(t), noiseFreeOptions(42))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ohio := workload.OhioDistrictsTable()
-	var objects []Generated
-	for row := 0; row < ohio.NumRows(); row++ {
-		tp, _ := ohio.TupleAt(row)
-		objects = append(objects, NewTupleObject(fmt.Sprintf("b%d", row), tp, "incumbent"))
-	}
-	reports, err := sys.VerifyBatch(objects, 3, KindTuple)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, rep := range reports {
-		if rep.Verdict != Verified {
-			t.Errorf("tuple %d verdict = %v", i, rep.Verdict)
-		}
 	}
 }
 
@@ -271,9 +255,9 @@ func TestGenerationLifecycle(t *testing.T) {
 		var err error
 		switch g.Template {
 		case "claim-answer":
-			rep, err = sys.VerifyClaim(g.ID, claim)
+			rep, err = sys.VerifyClaimCtx(context.Background(), g.ID, claim)
 		default:
-			rep, err = sys.VerifyImputedTuple(g.ID, tp, "incumbent")
+			rep, err = sys.VerifyImputedTupleCtx(context.Background(), g.ID, tp, "incumbent")
 		}
 		if err != nil {
 			return VerdictEntry{}, err
