@@ -57,8 +57,8 @@
 //	    answer 421 Misdirected Request naming the leader
 //	verifai waldump [-data-dir DIR | FILE...]
 //	    stream WAL segments as JSON lines on stdout (one record per
-//	    line, `jq`-ready) regardless of the on-disk payload encoding —
-//	    the debugging channel for logs written with -wal-format=binary
+//	    line, `jq`-ready) — the debugging channel for the binary
+//	    on-disk record encoding
 //
 // The lake directory is produced by cmd/lakegen (or any tool writing the
 // lakeio layout). Add -exact=false to enable the calibrated error profiles
@@ -382,7 +382,6 @@ func runServe(args []string) error {
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = falls back to -read-timeout)")
 	dataDir := fs.String("data-dir", "", "durable data directory (WAL + checkpoints); empty serves in-memory")
 	fsync := fs.String("fsync", "interval", "WAL sync policy: always|interval|none (with -data-dir)")
-	walFormat := fs.String("wal-format", "binary", "WAL record payload encoding for new appends: binary|json (existing logs replay under either; segments may mix)")
 	checkpointEvery := fs.Duration("checkpoint-every", 0, "periodic checkpoint cadence, e.g. 5m (0 = only on shutdown and POST /v1/admin/checkpoint)")
 	snapshotRetain := fs.Int("snapshot-retain", 0, "retained time-travel snapshots beyond explicit pins; older unpinned snapshots are collected (0 = default 8)")
 	debugAddr := fs.String("debug-addr", "", "side listener for /debug/pprof/*, /debug/traces, and /metrics (empty = disabled)")
@@ -398,7 +397,7 @@ func runServe(args []string) error {
 	}
 	if *dataDir != "" {
 		var err error
-		sys, err = openDurable(*dataDir, *lakeDir, *seed, *exact, tune, *ingestQueue, *fsync, *walFormat)
+		sys, err = openDurable(*dataDir, *lakeDir, *seed, *exact, tune, *ingestQueue, *fsync)
 		if err != nil {
 			return err
 		}
@@ -408,9 +407,9 @@ func runServe(args []string) error {
 		))
 		// The WAL doubles as the change feed: followers and CDC consumers
 		// stream GET /v1/changes, bootstrapping from /v1/replica/checkpoint.
-		if wlog, floor, ckpt, format, ok := sys.ChangeFeed(); ok {
+		if wlog, floor, ckpt, _, ok := sys.ChangeFeed(); ok {
 			serverOpts = append(serverOpts, server.WithChangeFeed(server.ChangeFeedConfig{
-				Log: wlog, Floor: floor, CheckpointTar: ckpt, Format: format,
+				Log: wlog, Floor: floor, CheckpointTar: ckpt,
 			}))
 		}
 	} else {
@@ -566,7 +565,6 @@ func runFollow(args []string) error {
 	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "max duration for reading request headers (0 = falls back to -read-timeout)")
 	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = falls back to -read-timeout)")
 	fsync := fs.String("fsync", "interval", "WAL sync policy: always|interval|none")
-	walFormat := fs.String("wal-format", "binary", "WAL record payload encoding for new appends: binary|json (the leader's wire encoding is accepted either way)")
 	checkpointEvery := fs.Duration("checkpoint-every", 0, "periodic checkpoint cadence; bounds the follower's own recovery time (0 = only at shutdown)")
 	debugAddr := fs.String("debug-addr", "", "side listener for /debug/pprof/*, /debug/traces, and /metrics (empty = disabled)")
 	if err := fs.Parse(args); err != nil {
@@ -581,7 +579,7 @@ func runFollow(args []string) error {
 		opts = verifai.ExactOptions(*seed)
 	}
 	indexTuning{shards: *shards, quantize: *quantize, rerankMultiple: *rerankMultiple}.apply(&opts)
-	openOpts := verifai.OpenOptions{Options: opts, Sync: *fsync, WALFormat: *walFormat}
+	openOpts := verifai.OpenOptions{Options: opts, Sync: *fsync}
 	if *ingestQueue > 0 {
 		openOpts.LakeOptions = append(openOpts.LakeOptions, verifai.WithIngestQueue(*ingestQueue))
 	}
@@ -604,9 +602,9 @@ func runFollow(args []string) error {
 	}
 	// A follower re-serves its own change feed (its WAL mirrors the
 	// leader's), so replicas can chain and CDC consumers can read replicas.
-	if wlog, floor, ckpt, format, ok := sys.ChangeFeed(); ok {
+	if wlog, floor, ckpt, _, ok := sys.ChangeFeed(); ok {
 		serverOpts = append(serverOpts, server.WithChangeFeed(server.ChangeFeedConfig{
-			Log: wlog, Floor: floor, CheckpointTar: ckpt, Format: format,
+			Log: wlog, Floor: floor, CheckpointTar: ckpt,
 		}))
 	}
 
@@ -621,13 +619,13 @@ func runFollow(args []string) error {
 // dir through the durable write path (so the seed data is itself logged
 // and checkpointed); a non-empty data dir ignores -lake, since its own
 // recovered state wins.
-func openDurable(dataDir, lakeDir string, seed uint64, exact bool, tune indexTuning, ingestQueue int, fsync, walFormat string) (*verifai.System, error) {
+func openDurable(dataDir, lakeDir string, seed uint64, exact bool, tune indexTuning, ingestQueue int, fsync string) (*verifai.System, error) {
 	opts := verifai.DefaultOptions(seed)
 	if exact {
 		opts = verifai.ExactOptions(seed)
 	}
 	tune.apply(&opts)
-	openOpts := verifai.OpenOptions{Options: opts, Sync: fsync, WALFormat: walFormat}
+	openOpts := verifai.OpenOptions{Options: opts, Sync: fsync}
 	if ingestQueue > 0 {
 		openOpts.LakeOptions = append(openOpts.LakeOptions, verifai.WithIngestQueue(ingestQueue))
 	}
@@ -656,9 +654,9 @@ func openDurable(dataDir, lakeDir string, seed uint64, exact bool, tune indexTun
 	return sys, nil
 }
 
-// runWaldump streams WAL segments to stdout as JSON lines — one record per
-// line in the legacy JSON payload shape — decoding either on-disk payload
-// encoding. This is the jq-debugging channel for binary-format logs:
+// runWaldump streams WAL segments to stdout as JSON lines, one record per
+// line, decoded from the binary on-disk encoding. This is the jq-debugging
+// channel for the log:
 //
 //	verifai waldump -data-dir /var/lib/verifai | jq 'select(.kind=="source")'
 //

@@ -118,15 +118,11 @@ func OpenFollower(dir, leader string, opts OpenOptions) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
 	}
-	format, err := wal.ParseFormat(opts.WALFormat)
-	if err != nil {
-		return nil, fmt.Errorf("verifai: %w", err)
-	}
 	lakeOpts := make([]LakeOption, len(opts.LakeOptions))
 	copy(lakeOpts, opts.LakeOptions)
 	st, err := durable.Open(dir, durable.Options{
 		Sync: policy, SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		WALFormat: format, LakeOptions: lakeOpts,
+		LakeOptions: lakeOpts,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
@@ -251,12 +247,12 @@ func (s *System) Replication() (ReplicationStats, bool) {
 // ChangeFeed exposes the durable store's replication surfaces in the shape
 // server.WithChangeFeed wants: the WAL for tail-serving, the checkpoint
 // version as the feed floor, the checkpoint-tar writer for follower
-// bootstrap, and the log's payload format so the wire encoding matches the
-// configured -wal-format. ok is false for in-memory systems (NewSystem),
-// which have no WAL to serve.
+// bootstrap. ok is false for in-memory systems (NewSystem), which have no
+// WAL to serve. The format result is deprecated and ignored: it is always
+// wal.FormatBinary, the only record encoding.
 func (s *System) ChangeFeed() (log *wal.Log, floor func() uint64, checkpointTar func(io.Writer) error, format wal.Format, ok bool) {
 	if s.durable == nil {
 		return nil, nil, nil, wal.FormatBinary, false
 	}
-	return s.durable.WAL(), s.durable.CheckpointVersion, s.durable.WriteCheckpointTar, s.durable.WAL().Format(), true
+	return s.durable.WAL(), s.durable.CheckpointVersion, s.durable.WriteCheckpointTar, wal.FormatBinary, true
 }

@@ -11,34 +11,23 @@ import (
 )
 
 // Encoder writes change-stream records in the binary frame format. It is a
-// thin wrapper over the WAL's own codec, so the wire format and the
-// on-disk format can never drift apart. Payloads are self-describing, so
-// the Decoder side needs no format negotiation: a follower consumes a
-// leader streaming either encoding (or a mix, when the leader's log was
-// written under more than one -wal-format).
+// thin wrapper over the WAL's own codec (wal.EncodeFrame), so the wire
+// format and the on-disk format can never drift apart and neither side
+// negotiates an encoding.
 type Encoder struct {
-	w      io.Writer
-	buf    bytes.Buffer
-	format wal.Format
+	w   io.Writer
+	buf bytes.Buffer
 }
 
-// NewEncoder returns an Encoder writing frames to w with the default
-// (binary) payload encoding.
+// NewEncoder returns an Encoder writing frames to w.
 func NewEncoder(w io.Writer) *Encoder {
-	return NewEncoderFormat(w, wal.FormatBinary)
-}
-
-// NewEncoderFormat returns an Encoder with an explicit payload format, so
-// a leader serving -wal-format=json keeps its wire encoding aligned with
-// its log encoding.
-func NewEncoderFormat(w io.Writer, f wal.Format) *Encoder {
-	return &Encoder{w: w, format: f}
+	return &Encoder{w: w}
 }
 
 // Encode writes one record as a frame.
 func (e *Encoder) Encode(rec wal.Record) error {
 	e.buf.Reset()
-	if err := wal.EncodeFrameFormat(&e.buf, rec, e.format); err != nil {
+	if err := wal.EncodeFrame(&e.buf, rec); err != nil {
 		return err
 	}
 	_, err := e.w.Write(e.buf.Bytes())

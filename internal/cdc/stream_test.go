@@ -2,7 +2,9 @@ package cdc
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"strings"
 	"testing"
@@ -77,6 +79,16 @@ func TestBinaryStreamErrorClassification(t *testing.T) {
 	dec = NewDecoder(bytes.NewReader(huge))
 	if _, err := dec.Next(); err == nil || !strings.Contains(err.Error(), "corrupt length") {
 		t.Fatalf("huge length = %v, want corrupt-length error", err)
+	}
+	// A CRC-valid JSON record (the encoding earlier logs could be written
+	// in) is not a binary record: loud corruption, never a torn frame.
+	payload := []byte(`{"v":1,"kind":"document"}`)
+	jsonFrame := make([]byte, wal.FrameHeaderSize, wal.FrameHeaderSize+len(payload))
+	binary.LittleEndian.PutUint32(jsonFrame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(jsonFrame[4:8], crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)))
+	dec = NewDecoder(bytes.NewReader(append(jsonFrame, payload...)))
+	if _, err := dec.Next(); err == nil || !strings.Contains(err.Error(), "unknown payload format tag 0x7b") {
+		t.Fatalf("JSON record = %v, want unknown-format-tag corruption", err)
 	}
 }
 

@@ -61,10 +61,6 @@ type Options struct {
 	// SyncInterval is the fsync period under wal.SyncInterval; <= 0 means
 	// the wal package default (100ms).
 	SyncInterval time.Duration
-	// WALFormat is the payload encoding for newly appended WAL records
-	// (default wal.FormatBinary). Existing records decode regardless of
-	// this setting — the payload is self-describing.
-	WALFormat wal.Format
 	// SegmentBytes is the WAL segment rotation threshold; <= 0 means the
 	// wal package default (16 MiB).
 	SegmentBytes int64
@@ -267,7 +263,7 @@ func Open(dir string, opts Options) (_ *Store, err error) {
 	// ReplayTail, so it is never buffered whole in memory here).
 	log, err := wal.Open(s.walDir(), wal.Options{
 		Sync: opts.Sync, Interval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		Format: opts.WALFormat, FS: opts.FS,
+		FS: opts.FS,
 	}, nil)
 	if err != nil {
 		return nil, fmt.Errorf("durable: open wal: %w", err)

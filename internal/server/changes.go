@@ -31,9 +31,10 @@ type ChangeFeedConfig struct {
 	// CheckpointTar streams the latest checkpoint as a tar archive for
 	// follower bootstrap; durable.ErrNoCheckpoint answers 404.
 	CheckpointTar func(io.Writer) error
-	// Format is the payload encoding for binary-framed feed responses
-	// (zero value wal.FormatBinary). Wired from the store's -wal-format so
-	// the wire matches the log; decoding is self-describing either way.
+	// Format is ignored: feed responses are always binary-framed records
+	// (or SSE, on request).
+	//
+	// Deprecated: the binary record encoding is the only one.
 	Format wal.Format
 }
 
@@ -194,7 +195,7 @@ func (s *Server) handleChanges(w http.ResponseWriter, r *http.Request) {
 		writeRec = func(rec wal.Record) error { return cdc.EncodeSSE(w, rec) }
 	} else {
 		w.Header().Set("Content-Type", cdc.ContentTypeFrames)
-		writeRec = cdc.NewEncoderFormat(w, cf.Format).Encode
+		writeRec = cdc.NewEncoder(w).Encode
 	}
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)

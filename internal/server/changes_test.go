@@ -27,12 +27,12 @@ func newLeaderServer(t *testing.T) (*verifai.System, *httptest.Server) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	log, floor, ckpt, format, ok := sys.ChangeFeed()
+	log, floor, ckpt, _, ok := sys.ChangeFeed()
 	if !ok {
 		t.Fatal("durable system reports no change feed")
 	}
 	ts := httptest.NewServer(New(sys.Pipeline(), WithChangeFeed(ChangeFeedConfig{
-		Log: log, Floor: floor, CheckpointTar: ckpt, Format: format,
+		Log: log, Floor: floor, CheckpointTar: ckpt,
 	})))
 	t.Cleanup(ts.Close)
 	return sys, ts

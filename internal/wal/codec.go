@@ -12,57 +12,20 @@ import (
 	"repro/internal/table"
 )
 
-// Payload format tags. The first payload byte makes every frame
-// self-describing: legacy JSON payloads begin with '{' (0x7B), the compact
-// binary encoding begins with 0x01. Decode dispatches on this byte, so
-// segments may freely mix encodings (a log written under one -wal-format
-// and reopened under another needs no migration) and the CDC wire carries
-// either without negotiation.
-const (
-	binTag  = 0x01
-	jsonTag = '{'
-)
+// binTag opens every record payload and is the only payload tag: a
+// CRC-valid frame whose payload starts with any other byte — '{' (0x7B),
+// a JSON record, included — is corruption, reported loudly and never
+// mistaken for a torn write.
+const binTag = 0x01
 
-// Format selects the payload encoding for newly appended records. Decoding
-// is always format-agnostic (the payload is self-describing), so Format
-// governs writes only.
+// Format names a WAL record payload encoding. It is deprecated and
+// ignored: FormatBinary is its only value and nothing reads it. The type
+// remains only because System.ChangeFeed returns one and
+// server.ChangeFeedConfig carries one.
 type Format int
 
-const (
-	// FormatBinary is the compact binary record encoding (the default):
-	// a tag byte, a kind code, uvarint version and append stamp, and
-	// length-prefixed fields — no JSON field-name overhead on the ingest
-	// path.
-	FormatBinary Format = iota
-	// FormatJSON is the legacy JSON encoding, kept for logs that must stay
-	// directly greppable without `verifai waldump`.
-	FormatJSON
-)
-
-// String implements fmt.Stringer.
-func (f Format) String() string {
-	switch f {
-	case FormatBinary:
-		return "binary"
-	case FormatJSON:
-		return "json"
-	default:
-		return fmt.Sprintf("Format(%d)", int(f))
-	}
-}
-
-// ParseFormat maps the flag spelling ("binary", "json") onto a Format.
-// The empty string selects the default (binary).
-func ParseFormat(s string) (Format, error) {
-	switch s {
-	case "binary", "":
-		return FormatBinary, nil
-	case "json":
-		return FormatJSON, nil
-	default:
-		return 0, fmt.Errorf("wal: unknown record format %q (want binary|json)", s)
-	}
-}
+// FormatBinary is the compact binary record encoding, the only one.
+const FormatBinary Format = 0
 
 // Binary payload layout (all integers little-endian, uvarint = unsigned
 // LEB128 as encoded by encoding/binary):
@@ -256,8 +219,11 @@ func (r *binReader) float64() (float64, error) {
 	return v, nil
 }
 
-// decodeRecordBinary decodes one binary payload (payload[0] == binTag).
+// decodeRecordBinary decodes one record payload.
 func decodeRecordBinary(payload []byte) (Record, error) {
+	if len(payload) > 0 && payload[0] != binTag {
+		return Record{}, fmt.Errorf("unknown payload format tag 0x%02x", payload[0])
+	}
 	if len(payload) < 2 {
 		return Record{}, fmt.Errorf("binary payload of %d bytes has no kind code", len(payload))
 	}

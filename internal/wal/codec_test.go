@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"fmt"
 	"hash/crc32"
 	"os"
 	"reflect"
@@ -21,7 +20,7 @@ import (
 // length and CRC), so tests and fuzzers can reach the payload decoder
 // without dying at the CRC check.
 func buildFrame(payload []byte) []byte {
-	frame := make([]byte, frameHeaderSize, frameHeaderSize+len(payload))
+	frame := make([]byte, FrameHeaderSize, FrameHeaderSize+len(payload))
 	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, crcTable))
 	return append(frame, payload...)
@@ -40,33 +39,6 @@ func writeFileT(t *testing.T, path string, data []byte) {
 	t.Helper()
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestParseFormat(t *testing.T) {
-	cases := []struct {
-		in      string
-		want    Format
-		wantErr bool
-	}{
-		{"", FormatBinary, false},
-		{"binary", FormatBinary, false},
-		{"json", FormatJSON, false},
-		{"JSON", 0, true},
-		{"protobuf", 0, true},
-	}
-	for _, c := range cases {
-		got, err := ParseFormat(c.in)
-		if (err != nil) != c.wantErr {
-			t.Errorf("ParseFormat(%q) err = %v, wantErr %v", c.in, err, c.wantErr)
-			continue
-		}
-		if err == nil && got != c.want {
-			t.Errorf("ParseFormat(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-	if FormatBinary.String() != "binary" || FormatJSON.String() != "json" {
-		t.Errorf("Format.String: binary=%q json=%q", FormatBinary, FormatJSON)
 	}
 }
 
@@ -109,34 +81,33 @@ func TestBinaryRecordRoundTrip(t *testing.T) {
 }
 
 // TestFrameRoundTripBothFormats drives the full frame path (header + CRC +
-// payload) for each encoding and checks the decoder needs no format
-// knowledge.
+// payload) over every codec case. The name dates from when JSON frames were
+// also written; binary is now the only payload encoding, and a JSON frame is
+// corruption (TestDecodeFrameUnknownTag).
 func TestFrameRoundTripBothFormats(t *testing.T) {
-	for _, f := range []Format{FormatBinary, FormatJSON} {
-		t.Run(f.String(), func(t *testing.T) {
-			var buf bytes.Buffer
-			recs := codecCases()
-			for _, rec := range recs {
-				if err := appendFrame(&buf, rec, f); err != nil {
-					t.Fatal(err)
-				}
+	t.Run("binary", func(t *testing.T) {
+		var buf bytes.Buffer
+		recs := codecCases()
+		for _, rec := range recs {
+			if err := EncodeFrame(&buf, rec); err != nil {
+				t.Fatal(err)
 			}
-			data, off := buf.Bytes(), 0
-			for i, want := range recs {
-				rec, next, torn, err := decodeFrame(data, off)
-				if err != nil || torn {
-					t.Fatalf("record %d: torn=%v err=%v", i, torn, err)
-				}
-				if !reflect.DeepEqual(rec, want) {
-					t.Errorf("record %d mismatch\n got: %+v\nwant: %+v", i, rec, want)
-				}
-				off = next
+		}
+		data, off := buf.Bytes(), 0
+		for i, want := range recs {
+			rec, next, torn, err := DecodeFrame(data, off)
+			if err != nil || torn {
+				t.Fatalf("record %d: torn=%v err=%v", i, torn, err)
 			}
-			if off != len(data) {
-				t.Fatalf("decoded through %d of %d bytes", off, len(data))
+			if !reflect.DeepEqual(rec, want) {
+				t.Errorf("record %d mismatch\n got: %+v\nwant: %+v", i, rec, want)
 			}
-		})
-	}
+			off = next
+		}
+		if off != len(data) {
+			t.Fatalf("decoded through %d of %d bytes", off, len(data))
+		}
+	})
 }
 
 // TestBinaryEncodingSmaller pins the tentpole's size claim at the codec
@@ -186,98 +157,88 @@ func TestBinaryDecodeCorruptionClassified(t *testing.T) {
 	}
 }
 
-// TestDecodeFrameUnknownTag: a CRC-valid frame whose payload starts with
-// neither 0x7B nor 0x01 is corruption (loud), never torn (quiet).
+// jsonPayload is a record in the JSON encoding earlier logs could be
+// written in: CRC-valid behind a frame, but not a binary record.
+const jsonPayload = `{"v":1,"kind":"document"}`
+
+// TestDecodeFrameUnknownTag: a CRC-valid frame whose payload does not start
+// with 0x01 — a JSON record included — is corruption (loud), never torn
+// (quiet), for the frame decoder and for every reader of a log.
 func TestDecodeFrameUnknownTag(t *testing.T) {
-	frame := buildFrame([]byte{0x42, 0x00, 0x00})
-	_, _, torn, err := decodeFrame(frame, 0)
-	if torn {
-		t.Fatal("unknown tag classified as torn")
-	}
-	if err == nil || !strings.Contains(err.Error(), "unknown payload format tag") {
-		t.Fatalf("err = %v, want unknown-format-tag corruption", err)
+	for _, c := range []struct {
+		payload []byte
+		tag     string
+	}{
+		{[]byte{0x42, 0x00, 0x00}, "0x42"},
+		{[]byte(jsonPayload), "0x7b"},
+	} {
+		_, _, torn, err := DecodeFrame(buildFrame(c.payload), 0)
+		if torn {
+			t.Fatalf("payload %q classified as torn", c.payload)
+		}
+		if err == nil || !strings.Contains(err.Error(), "unknown payload format tag "+c.tag) {
+			t.Fatalf("payload %q: err = %v, want unknown-format-tag corruption", c.payload, err)
+		}
 	}
 	// Empty payload: same classification (loud).
-	_, _, torn, err = decodeFrame(buildFrame(nil), 0)
+	_, _, torn, err := DecodeFrame(buildFrame(nil), 0)
 	if torn || err == nil {
 		t.Fatalf("empty payload: torn=%v err=%v, want loud error", torn, err)
 	}
-}
 
-// TestMixedFormatReplayAndTail writes one log under alternating formats
-// across reopens and checks that replay, a fresh Open, and a TailReader
-// all see every record in order — the no-migration guarantee.
-func TestMixedFormatReplayAndTail(t *testing.T) {
-	cases := []struct {
-		name    string
-		formats []Format
-	}{
-		{"json-then-binary", []Format{FormatJSON, FormatBinary}},
-		{"binary-then-json", []Format{FormatBinary, FormatJSON}},
-		{"interleaved", []Format{FormatJSON, FormatBinary, FormatJSON, FormatBinary}},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			dir := t.TempDir()
-			v := uint64(0)
-			// Each phase reopens the SAME log dir under the next format and
-			// appends into the same active segment: mixed-format segments,
-			// not just mixed-format logs.
-			for _, f := range c.formats {
-				l, _ := openReplay(t, dir, Options{Sync: SyncNone, Format: f})
-				for i := 0; i < 3; i++ {
-					v++
-					if err := l.Append(docRecord(v, fmt.Sprintf("d%03d", v))); err != nil {
-						t.Fatal(err)
-					}
-				}
-				if err := l.Close(); err != nil {
-					t.Fatal(err)
-				}
-			}
-			total := int(v)
-			l, replayed := openReplay(t, dir, Options{Sync: SyncNone})
-			defer l.Close()
-			if len(replayed) != total {
-				t.Fatalf("open replayed %d records, want %d", len(replayed), total)
-			}
-			var streamed []Record
-			if err := l.Replay(func(r Record) error { streamed = append(streamed, r); return nil }); err != nil {
-				t.Fatal(err)
-			}
-			if len(streamed) != total {
-				t.Fatalf("Replay delivered %d records, want %d", len(streamed), total)
-			}
-			tail := l.Tail(0)
-			for i := 1; i <= total; i++ {
-				rec, ok, err := tail.Next()
-				if err != nil || !ok {
-					t.Fatalf("tail record %d: ok=%v err=%v", i, ok, err)
-				}
-				if rec.Version != uint64(i) || rec.Doc == nil || rec.Doc.ID != fmt.Sprintf("d%03d", i) {
-					t.Fatalf("tail record %d out of order or lossy: %+v", i, rec)
-				}
-			}
-			if _, ok, err := tail.Next(); ok || err != nil {
-				t.Fatalf("tail past end: ok=%v err=%v", ok, err)
-			}
-		})
-	}
-}
-
-// TestDumpSegmentMixedFormats: the waldump primitive streams a mixed log
-// as records (JSON-marshalable), reports a torn tail without truncating
-// the file, and fails loudly on mid-segment corruption.
-func TestDumpSegmentMixedFormats(t *testing.T) {
+	// A JSON record in the log fails every reader loudly — a TailReader,
+	// Replay, DumpSegment and Open — and Open leaves it in place rather
+	// than truncating it as a torn tail.
 	dir := t.TempDir()
-	l, _ := openReplay(t, dir, Options{Sync: SyncNone, Format: FormatJSON})
+	l, _ := openReplay(t, dir, Options{Sync: SyncNone})
+	defer l.Close()
+	rec := docRecord(1, "d1")
+	rec.Doc.Text = strings.Repeat("x", 64)
+	if err := l.Append(rec); err != nil {
+		t.Fatal(err)
+	}
+	// Overwrite the committed frame with a JSON frame of the same length,
+	// so the log's bookkeeping still covers every byte of it.
+	path := lastSegment(t, dir)
+	size := len(readFileT(t, path))
+	frame := buildFrame([]byte(jsonPayload + strings.Repeat(" ", size-FrameHeaderSize-len(jsonPayload))))
+	writeFileT(t, path, frame)
+
+	wantCorrupt := func(reader string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "unknown payload format tag 0x7b") {
+			t.Errorf("%s: err = %v, want unknown-format-tag corruption", reader, err)
+		}
+	}
+	_, _, err = l.Tail(0).Next()
+	wantCorrupt("TailReader", err)
+	wantCorrupt("Replay", l.Replay(func(Record) error { return nil }))
+	_, err = DumpSegment(path, func(Record) error { return nil })
+	wantCorrupt("DumpSegment", err)
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(dir, Options{Sync: SyncNone}, nil)
+	wantCorrupt("Open", err)
+	if got := readFileT(t, path); !bytes.Equal(got, frame) {
+		t.Fatalf("Open rewrote the segment: %d bytes, want the %d-byte JSON frame kept", len(got), len(frame))
+	}
+}
+
+// TestDumpSegment: the waldump primitive streams a log written across
+// reopens as records (JSON-marshalable) in append order, reports a torn
+// tail without truncating the file, and fails loudly on mid-segment
+// corruption.
+func TestDumpSegment(t *testing.T) {
+	dir := t.TempDir()
+	l, _ := openReplay(t, dir, Options{Sync: SyncNone})
 	if err := l.Append(docRecord(1, "a")); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
-	l, _ = openReplay(t, dir, Options{Sync: SyncNone}) // binary default
+	l, _ = openReplay(t, dir, Options{Sync: SyncNone})
 	if err := l.Append(docRecord(2, "b"), docRecord(3, "c")); err != nil {
 		t.Fatal(err)
 	}

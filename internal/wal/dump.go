@@ -3,7 +3,6 @@ package wal
 import (
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"repro/internal/faultfs"
 )
@@ -26,28 +25,18 @@ func SegmentFiles(dir string) ([]string, error) {
 }
 
 // DumpSegment streams every complete record in one segment file through fn
-// in append order, decoding either payload encoding. Unlike Open it never
-// writes: a trailing torn frame is reported via the returned byte count
-// and left in place. Corruption (bad length, CRC, payload) aborts with an
-// error naming the offset. fn returning an error aborts the dump.
+// in append order. Unlike Open it never writes: a trailing torn frame is
+// reported via the returned byte count and left in place. Corruption (bad
+// length, CRC, payload) aborts with an error naming the offset. fn
+// returning an error aborts the dump.
 func DumpSegment(path string, fn func(Record) error) (torn int64, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return 0, fmt.Errorf("wal: dump segment: %w", err)
 	}
-	off := 0
-	for off < len(data) {
-		rec, next, isTorn, err := decodeFrame(data, off)
-		if err != nil {
-			return 0, fmt.Errorf("wal: segment %s: %w", filepath.Base(path), err)
-		}
-		if isTorn {
-			return int64(len(data) - off), nil
-		}
-		if err := fn(rec); err != nil {
-			return 0, err
-		}
-		off = next
+	tornAt, err := scanFrames(path, data, fn)
+	if err != nil {
+		return 0, err
 	}
-	return 0, nil
+	return int64(len(data) - tornAt), nil
 }

@@ -8,17 +8,11 @@ import (
 	"testing"
 )
 
-// fuzzSeedFrames builds a buffer of n valid frames for the fuzz corpus,
-// alternating payload encodings so the corpus exercises the format-tag
-// dispatch from the first run.
+// fuzzSeedFrames builds a buffer of n valid frames for the fuzz corpus.
 func fuzzSeedFrames(n int) []byte {
 	var buf bytes.Buffer
 	for v := 1; v <= n; v++ {
-		f := FormatBinary
-		if v%2 == 0 {
-			f = FormatJSON
-		}
-		if err := appendFrame(&buf, docRecord(uint64(v), fmt.Sprintf("d%d", v)), f); err != nil {
+		if err := EncodeFrame(&buf, docRecord(uint64(v), fmt.Sprintf("d%d", v))); err != nil {
 			panic(err)
 		}
 	}
@@ -36,7 +30,7 @@ func FuzzDecodeFrames(f *testing.F) {
 	valid := fuzzSeedFrames(3)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-5])                     // torn final frame
-	f.Add(valid[:frameHeaderSize-2])                // torn header
+	f.Add(valid[:FrameHeaderSize-2])                // torn header
 	f.Add([]byte{})                                 // empty segment
 	f.Add([]byte("not a frame at allated garbage")) // garbage
 	// Corrupt CRC on an otherwise intact frame.
@@ -45,17 +39,19 @@ func FuzzDecodeFrames(f *testing.F) {
 	f.Add(crcFlip)
 	// Corrupt payload byte (CRC mismatch downstream).
 	payloadFlip := append([]byte(nil), valid...)
-	payloadFlip[frameHeaderSize+3] ^= 0x10
+	payloadFlip[FrameHeaderSize+3] ^= 0x10
 	f.Add(payloadFlip)
 	// Absurd declared length (must be rejected, not allocated).
-	huge := make([]byte, frameHeaderSize)
-	binary.LittleEndian.PutUint32(huge[0:4], uint32(maxRecordSize+1))
+	huge := make([]byte, FrameHeaderSize)
+	binary.LittleEndian.PutUint32(huge[0:4], uint32(MaxRecordSize+1))
 	f.Add(huge)
+	// CRC-valid JSON record after a valid frame: corruption, not torn.
+	f.Add(append(fuzzSeedFrames(1), buildFrame([]byte(jsonPayload))...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		off := 0
 		for off < len(data) {
-			rec, next, torn, err := decodeFrame(data, off)
+			rec, next, torn, err := DecodeFrame(data, off)
 			if torn && err != nil {
 				t.Fatalf("offset %d: both torn and corrupt (%v)", off, err)
 			}
@@ -73,7 +69,8 @@ func FuzzDecodeFrames(f *testing.F) {
 			// A frame that decodes must round-trip: its payload length is
 			// consistent with the consumed bytes.
 			if rec.Kind == "" && rec.Version == 0 && rec.Table == nil && rec.Doc == nil && rec.Triple == nil && rec.Source == nil {
-				// Legal (an empty JSON object) — just must not panic.
+				// Legal (a named record with an empty kind) — just
+				// must not panic.
 				_ = rec
 			}
 			off = next
@@ -83,7 +80,7 @@ func FuzzDecodeFrames(f *testing.F) {
 
 // FuzzDecodeBinaryRecord fuzzes the binary payload decoder directly. Each
 // fuzzed byte string is also wrapped in a freshly computed valid frame
-// (length + CRC) and fed through decodeFrame, modeling CRC-valid garbage —
+// (length + CRC) and fed through DecodeFrame, modeling CRC-valid garbage —
 // a buggy writer, not bit rot — which is exactly the input the binReader
 // bounds checks exist for. Invariants: never panic, never allocate from a
 // corrupt count, frame classification stays exclusive (torn XOR corrupt),
@@ -114,11 +111,11 @@ func FuzzDecodeBinaryRecord(f *testing.F) {
 			}
 		}
 
-		// The same payload behind a valid CRC frame: decodeFrame must agree
+		// The same payload behind a valid CRC frame: DecodeFrame must agree
 		// with the payload decoder and classify failures as corruption
 		// (loud), never torn — the frame itself is complete.
 		frame := buildFrame(payload)
-		frec, next, torn, ferr := decodeFrame(frame, 0)
+		frec, next, torn, ferr := DecodeFrame(frame, 0)
 		if torn {
 			t.Fatalf("complete CRC-valid frame classified as torn (payload %x)", payload)
 		}

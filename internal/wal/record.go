@@ -3,9 +3,9 @@ package wal
 import (
 	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"path/filepath"
 
 	"repro/internal/datalake"
 	"repro/internal/doc"
@@ -25,11 +25,10 @@ const (
 )
 
 // Record is one durable lake mutation. Exactly one of Table, Doc, Triple,
-// or Source is populated according to Kind. The payload carries a 1-byte
-// format tag (codec.go): legacy JSON — debuggable with standard tools —
-// or the compact binary encoding, the default. `verifai waldump` streams
-// either encoding back out as JSON lines, so `jq`-debuggability survives
-// the binary default.
+// or Source is populated according to Kind. On disk and on the change
+// feed a record is always the compact binary encoding (codec.go); the
+// JSON tags are its presentation form only — `verifai waldump` and the
+// SSE change feed marshal records as JSON for `jq`.
 type Record struct {
 	Version uint64           `json:"v"`
 	Kind    string           `json:"kind"`
@@ -60,48 +59,33 @@ func FromEvent(ev datalake.Event) (Record, error) {
 	}
 }
 
-// frame layout: 4-byte little-endian payload length, 4-byte little-endian
-// CRC-32C (Castagnoli) of the payload, then the payload (self-describing:
-// first byte 0x7B = legacy JSON, 0x01 = compact binary; see codec.go). The
-// CRC covers the whole payload including the tag and detects bit rot and
-// mid-log corruption; a torn (partially written) final frame is detected
-// by the length outrunning the remaining bytes — both classifications are
-// frame-level and therefore identical for either payload encoding.
-const frameHeaderSize = 8
+// Frame layout: 4-byte little-endian payload length, 4-byte little-endian
+// CRC-32C (Castagnoli) of the payload, then the payload (one compact binary
+// record, first byte 0x01; see codec.go). The CRC covers the whole payload
+// including the tag and detects bit rot and mid-log corruption; a torn
+// (partially written) final frame is detected by the length outrunning the
+// remaining bytes. FrameHeaderSize is exported for stream consumers (the
+// CDC change feed frames its wire protocol with the same codec).
+const FrameHeaderSize = 8
 
-// FrameHeaderSize is the fixed frame prefix: 4-byte little-endian payload
-// length + 4-byte little-endian CRC-32C. Exported for stream consumers
-// (the CDC change feed frames its wire protocol with the same codec).
-const FrameHeaderSize = frameHeaderSize
-
-// maxRecordSize bounds one record's payload. A frame header is written
+// MaxRecordSize bounds one record's payload. A frame header is written
 // atomically ahead of its payload, so a length beyond this bound can only
-// come from corruption, never from a torn append — replay fails loudly on
-// it instead of attempting a giant allocation.
-const maxRecordSize = 1 << 30
-
-// MaxRecordSize is the payload bound, exported so stream decoders can
-// reject corrupt lengths before allocating.
-const MaxRecordSize = maxRecordSize
+// come from corruption, never from a torn append — replay (and the CDC
+// stream decoder) fails loudly on it instead of attempting a giant
+// allocation.
+const MaxRecordSize = 1 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// appendFrame encodes one record onto buf in the given payload format.
-func appendFrame(buf *bytes.Buffer, rec Record, f Format) error {
-	var payload []byte
-	if f == FormatJSON {
-		var err error
-		payload, err = json.Marshal(rec)
-		if err != nil {
-			return fmt.Errorf("wal: encode record: %w", err)
-		}
-	} else {
-		payload = encodeRecordBinary(nil, rec)
+// EncodeFrame appends rec to buf as one frame (length + CRC + binary
+// payload). It is the single encode path shared by the log itself and the
+// CDC change stream, so every consumer speaks exactly the on-disk format.
+func EncodeFrame(buf *bytes.Buffer, rec Record) error {
+	payload := encodeRecordBinary(nil, rec)
+	if len(payload) > MaxRecordSize {
+		return fmt.Errorf("wal: record payload %d bytes exceeds %d", len(payload), MaxRecordSize)
 	}
-	if len(payload) > maxRecordSize {
-		return fmt.Errorf("wal: record payload %d bytes exceeds %d", len(payload), maxRecordSize)
-	}
-	var header [frameHeaderSize]byte
+	var header [FrameHeaderSize]byte
 	binary.LittleEndian.PutUint32(header[0:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(header[4:8], crc32.Checksum(payload, crcTable))
 	buf.Write(header[:])
@@ -109,40 +93,52 @@ func appendFrame(buf *bytes.Buffer, rec Record, f Format) error {
 	return nil
 }
 
-// decodeFrame decodes the frame starting at data[off]. It returns the
-// record and the offset just past the frame. torn reports that the frame
-// is incomplete (the tail of a partial append); err reports corruption.
-func decodeFrame(data []byte, off int) (rec Record, next int, torn bool, err error) {
-	if len(data)-off < frameHeaderSize {
+// DecodeFrame decodes the frame starting at data[off]. It returns the
+// record and the offset just past the frame. torn reports an incomplete
+// frame (the tail of a partial append, or more stream bytes needed); err
+// reports corruption (bad length, CRC mismatch, undecodable payload — a
+// payload that is not a binary record, JSON included).
+func DecodeFrame(data []byte, off int) (rec Record, next int, torn bool, err error) {
+	if len(data)-off < FrameHeaderSize {
 		return Record{}, off, true, nil
 	}
 	n := int(binary.LittleEndian.Uint32(data[off : off+4]))
 	sum := binary.LittleEndian.Uint32(data[off+4 : off+8])
-	if n > maxRecordSize {
+	if n > MaxRecordSize {
 		return Record{}, off, false, fmt.Errorf("wal: frame at offset %d declares %d payload bytes (corrupt length)", off, n)
 	}
-	if len(data)-off-frameHeaderSize < n {
+	if len(data)-off-FrameHeaderSize < n {
 		return Record{}, off, true, nil
 	}
-	payload := data[off+frameHeaderSize : off+frameHeaderSize+n]
+	payload := data[off+FrameHeaderSize : off+FrameHeaderSize+n]
 	if got := crc32.Checksum(payload, crcTable); got != sum {
 		return Record{}, off, false, fmt.Errorf("wal: frame at offset %d fails CRC (stored %08x, computed %08x)", off, sum, got)
 	}
-	if n == 0 {
-		return Record{}, off, false, fmt.Errorf("wal: frame at offset %d has empty payload", off)
+	if rec, err = decodeRecordBinary(payload); err != nil {
+		return Record{}, off, false, fmt.Errorf("wal: frame at offset %d: %w", off, err)
 	}
-	switch payload[0] {
-	case binTag:
-		var err error
-		if rec, err = decodeRecordBinary(payload); err != nil {
-			return Record{}, off, false, fmt.Errorf("wal: frame at offset %d has undecodable binary payload: %w", off, err)
+	return rec, off + FrameHeaderSize + n, false, nil
+}
+
+// scanFrames decodes every frame in data in order, passing each record to
+// fn. tornAt is the offset of a trailing incomplete frame, or len(data)
+// when every frame is complete; what a torn tail means is the caller's
+// policy. A corrupt frame fails with an error naming path's segment; fn's
+// error aborts the scan and is returned as is.
+func scanFrames(path string, data []byte, fn func(Record) error) (tornAt int, err error) {
+	off := 0
+	for off < len(data) {
+		rec, next, torn, err := DecodeFrame(data, off)
+		if err != nil {
+			return off, fmt.Errorf("wal: segment %s: %w", filepath.Base(path), err)
 		}
-	case jsonTag:
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return Record{}, off, false, fmt.Errorf("wal: frame at offset %d has undecodable payload: %w", off, err)
+		if torn {
+			return off, nil
 		}
-	default:
-		return Record{}, off, false, fmt.Errorf("wal: frame at offset %d has unknown payload format tag 0x%02x", off, payload[0])
+		if err := fn(rec); err != nil {
+			return off, err
+		}
+		off = next
 	}
-	return rec, off + frameHeaderSize + n, false, nil
+	return off, nil
 }

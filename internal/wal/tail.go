@@ -1,33 +1,9 @@
 package wal
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 )
-
-// EncodeFrame appends rec to buf in the log's frame format (length + CRC +
-// self-describing payload) using the default binary encoding. It is the
-// single encode path shared by the log itself and the CDC change stream,
-// so every consumer speaks exactly the on-disk format.
-func EncodeFrame(buf *bytes.Buffer, rec Record) error {
-	return appendFrame(buf, rec, FormatBinary)
-}
-
-// EncodeFrameFormat is EncodeFrame with an explicit payload format, for
-// streams that must match a configured -wal-format (the change feed keeps
-// its wire encoding aligned with the leader's log encoding).
-func EncodeFrameFormat(buf *bytes.Buffer, rec Record, f Format) error {
-	return appendFrame(buf, rec, f)
-}
-
-// DecodeFrame decodes the frame starting at data[off]. It returns the
-// record and the offset just past the frame. torn reports an incomplete
-// frame (more bytes needed); err reports corruption (bad length, CRC
-// mismatch, undecodable payload).
-func DecodeFrame(data []byte, off int) (rec Record, next int, torn bool, err error) {
-	return decodeFrame(data, off)
-}
 
 // ErrTailTruncated reports that a TailReader's position was truncated away
 // underneath it (a checkpoint removed the sealed segment it was reading).
@@ -78,7 +54,7 @@ func (l *Log) Tail(after uint64) *TailReader {
 func (r *TailReader) Next() (Record, bool, error) {
 	for {
 		for len(r.buf) > 0 {
-			rec, next, torn, err := decodeFrame(r.buf, 0)
+			rec, next, torn, err := DecodeFrame(r.buf, 0)
 			if err != nil {
 				return Record{}, false, err
 			}

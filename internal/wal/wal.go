@@ -7,9 +7,9 @@
 // Layout: <dir>/wal-<seq>.log, seq ascending. The highest-numbered segment
 // is active (appended to); lower ones are sealed. A checkpoint rotates the
 // active segment and deletes sealed segments whose records it covers.
-// Record payloads are self-describing (a 1-byte format tag selects legacy
-// JSON or the compact binary codec — see codec.go), so segments may mix
-// encodings and a log written under either -wal-format replays unchanged.
+// Every record payload is the compact binary codec (codec.go), behind a
+// 1-byte tag; a payload with any other tag — a JSON record included —
+// fails recovery loudly as corruption.
 //
 // Durability is governed by the sync policy: SyncAlways fsyncs after every
 // append (each acknowledged write survives power loss), SyncInterval
@@ -87,10 +87,6 @@ type Options struct {
 	// SegmentBytes rotates the active segment once it exceeds this size;
 	// <= 0 means 16 MiB.
 	SegmentBytes int64
-	// Format is the payload encoding for newly appended records (default
-	// FormatBinary). Decoding is self-describing, so reopening a log under
-	// a different Format needs no migration — segments simply mix.
-	Format Format
 	// FS is the filesystem the log writes through (default the real OS).
 	// The crash-consistency suite injects a faultfs.Faulty here.
 	FS faultfs.FS
@@ -268,23 +264,7 @@ func (l *Log) replaySegment(seq int, last bool, fn func(Record) error) error {
 		return fmt.Errorf("wal: read segment: %w", err)
 	}
 	seg := segment{seq: seq, path: path}
-	off := 0
-	for off < len(data) {
-		rec, next, torn, err := decodeFrame(data, off)
-		if err != nil {
-			return fmt.Errorf("wal: segment %s: %w", filepath.Base(path), err)
-		}
-		if torn {
-			if !last {
-				return fmt.Errorf("wal: segment %s: truncated record at offset %d in sealed segment", filepath.Base(path), off)
-			}
-			dropped := int64(len(data) - off)
-			if err := l.fs.Truncate(path, int64(off)); err != nil {
-				return fmt.Errorf("wal: truncate torn tail: %w", err)
-			}
-			l.tornBytes += dropped
-			break
-		}
+	tornAt, err := scanFrames(path, data, func(rec Record) error {
 		if fn != nil {
 			if err := fn(rec); err != nil {
 				return err
@@ -297,9 +277,21 @@ func (l *Log) replaySegment(seq int, last bool, fn func(Record) error) error {
 		if rec.Version > l.lastVersion {
 			l.lastVersion = rec.Version
 		}
-		off = next
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	seg.bytes = int64(off)
+	if tornAt < len(data) {
+		if !last {
+			return fmt.Errorf("wal: segment %s: truncated record at offset %d in sealed segment", filepath.Base(path), tornAt)
+		}
+		if err := l.fs.Truncate(path, int64(tornAt)); err != nil {
+			return fmt.Errorf("wal: truncate torn tail: %w", err)
+		}
+		l.tornBytes += int64(len(data) - tornAt)
+	}
+	seg.bytes = int64(tornAt)
 	l.segs = append(l.segs, seg)
 	return nil
 }
@@ -354,7 +346,7 @@ func (l *Log) Append(recs ...Record) error {
 	start := time.Now()
 	var buf bytes.Buffer
 	for _, rec := range recs {
-		if err := appendFrame(&buf, rec, l.opts.Format); err != nil {
+		if err := EncodeFrame(&buf, rec); err != nil {
 			return err
 		}
 	}
@@ -534,30 +526,19 @@ func (l *Log) Replay(fn func(Record) error) error {
 		if int64(len(data)) > sp.bytes {
 			data = data[:sp.bytes]
 		}
-		off := 0
-		for off < len(data) {
-			rec, next, torn, err := decodeFrame(data, off)
-			if err != nil {
-				return fmt.Errorf("wal: replay segment %s: %w", filepath.Base(sp.path), err)
-			}
-			if torn {
-				// Open truncated any torn tail already; a torn frame here
-				// means the file shrank under us, which snapshotting sizes
-				// is supposed to prevent.
-				return fmt.Errorf("wal: replay segment %s: unexpected torn frame at offset %d", filepath.Base(sp.path), off)
-			}
-			if err := fn(rec); err != nil {
-				return err
-			}
-			off = next
+		tornAt, err := scanFrames(sp.path, data, fn)
+		if err != nil {
+			return err
+		}
+		if tornAt < len(data) {
+			// Open truncated any torn tail already; a torn frame here
+			// means the file shrank under us, which snapshotting sizes
+			// is supposed to prevent.
+			return fmt.Errorf("wal: replay segment %s: unexpected torn frame at offset %d", filepath.Base(sp.path), tornAt)
 		}
 	}
 	return nil
 }
-
-// Format reports the payload encoding new appends use. Existing records
-// keep whatever encoding they were written with.
-func (l *Log) Format() Format { return l.opts.Format }
 
 // Stats reports the log's current shape.
 func (l *Log) Stats() Stats {

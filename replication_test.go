@@ -20,25 +20,18 @@ import (
 // newLeader opens a durable leader and serves its change feed over HTTP —
 // the wiring `verifai serve -data-dir` uses.
 func newLeader(t testing.TB, dir string) (*System, *httptest.Server) {
-	return newLeaderFormat(t, dir, "")
-}
-
-// newLeaderFormat is newLeader with an explicit -wal-format, for the
-// cross-format upgrade-path cases (a legacy JSON-log leader feeding a
-// binary-default follower).
-func newLeaderFormat(t testing.TB, dir, walFormat string) (*System, *httptest.Server) {
 	t.Helper()
-	sys, err := Open(dir, OpenOptions{Options: ExactOptions(1), Sync: "none", WALFormat: walFormat})
+	sys, err := Open(dir, OpenOptions{Options: ExactOptions(1), Sync: "none"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	wlog, floor, ckpt, format, ok := sys.ChangeFeed()
+	wlog, floor, ckpt, _, ok := sys.ChangeFeed()
 	if !ok {
 		t.Fatal("durable leader reports no change feed")
 	}
 	ts := httptest.NewServer(server.New(sys.Pipeline(), server.WithChangeFeed(server.ChangeFeedConfig{
-		Log: wlog, Floor: floor, CheckpointTar: ckpt, Format: format,
+		Log: wlog, Floor: floor, CheckpointTar: ckpt,
 	})))
 	t.Cleanup(ts.Close)
 	return sys, ts
@@ -196,85 +189,6 @@ func TestReplicationEndToEnd(t *testing.T) {
 	lstats, fstats := leader.Pipeline().Lake().Stats(), resumed.Pipeline().Lake().Stats()
 	if lstats != fstats {
 		t.Fatalf("catalogs diverged: leader %+v follower %+v", lstats, fstats)
-	}
-}
-
-// TestReplicationEndToEndCrossFormat is the upgrade-path acceptance case:
-// a leader still writing the legacy JSON log feeds a follower running the
-// binary default. The change feed carries the leader's encoding, the
-// follower re-logs applies in its own; nothing negotiates and nothing
-// migrates — the self-describing payload tag is the whole protocol.
-func TestReplicationEndToEndCrossFormat(t *testing.T) {
-	dir := t.TempDir()
-	leader, leaderSrv := newLeaderFormat(t, filepath.Join(dir, "leader"), "json")
-	if err := leader.Pipeline().Lake().AddSource(Source{ID: workload.CaseSource, Name: "cases", TrustPrior: 0.9}); err != nil {
-		t.Fatal(err)
-	}
-	if err := leader.AddTable(workload.USOpen1954Table()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := leader.Checkpoint(); err != nil {
-		t.Fatal(err)
-	}
-
-	// Follower: binary default (WALFormat unset).
-	fdir := filepath.Join(dir, "follower")
-	follower, err := OpenFollower(fdir, leaderSrv.URL, OpenOptions{Options: ExactOptions(1), Sync: "none"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	closed := false
-	defer func() {
-		if !closed {
-			follower.Close()
-		}
-	}()
-
-	// Post-bootstrap evidence crosses the JSON wire into the binary log.
-	if err := leader.AddTable(workload.OhioDistrictsTable()); err != nil {
-		t.Fatal(err)
-	}
-	if err := leader.AddDocument(workload.MeaganGoodDoc()); err != nil {
-		t.Fatal(err)
-	}
-	v := leader.LakeVersion()
-	waitReplicated(t, follower, v)
-
-	ohio := workload.OhioDistrictsTable()
-	tp, _ := ohio.TupleAt(2)
-	wrong := tp.WithValue("incumbent", "dave hobson")
-	lrep, err := leader.VerifyImputedTupleCtx(context.Background(), "xfmt-fig1", wrong, "incumbent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	frep, err := follower.VerifyImputedTupleCtx(context.Background(), "xfmt-fig1", wrong, "incumbent")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if lrep.Verdict != frep.Verdict || frep.Verdict != Refuted {
-		t.Fatalf("leader verdict %v, follower verdict %v, want both Refuted", lrep.Verdict, frep.Verdict)
-	}
-
-	// Restart the follower: its own (binary) WAL replays and the stream
-	// resumes from the durable cursor against the JSON leader.
-	if err := follower.Close(); err != nil {
-		t.Fatal(err)
-	}
-	closed = true
-	if err := leader.AddTriple(Triple{Subject: "tommy bolt", Predicate: "champion of", Object: "1958 u.s. open", SourceID: workload.CaseSource}); err != nil {
-		t.Fatal(err)
-	}
-	v2 := leader.LakeVersion()
-
-	resumed, err := OpenFollower(fdir, leaderSrv.URL, OpenOptions{Options: ExactOptions(1), Sync: "none"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resumed.Close()
-	waitReplicated(t, resumed, v2)
-	lstats, fstats := leader.Pipeline().Lake().Stats(), resumed.Pipeline().Lake().Stats()
-	if lstats != fstats {
-		t.Fatalf("catalogs diverged across formats: leader %+v follower %+v", lstats, fstats)
 	}
 }
 

@@ -265,12 +265,6 @@ type OpenOptions struct {
 	SyncInterval time.Duration
 	// SegmentBytes rotates WAL segments past this size; 0 means 16 MiB.
 	SegmentBytes int64
-	// WALFormat selects the payload encoding for newly appended WAL
-	// records: "binary" (compact, the default) or "json" (legacy,
-	// grep-able). Existing logs replay under either setting — record
-	// payloads are self-describing, so switching needs no migration and
-	// segments may mix encodings.
-	WALFormat string
 	// LakeOptions configure the recovered lake (e.g. WithIngestQueue).
 	LakeOptions []LakeOption
 }
@@ -305,15 +299,11 @@ func Open(dir string, opts OpenOptions) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
 	}
-	format, err := wal.ParseFormat(opts.WALFormat)
-	if err != nil {
-		return nil, fmt.Errorf("verifai: %w", err)
-	}
 	lakeOpts := make([]datalake.Option, len(opts.LakeOptions))
 	copy(lakeOpts, opts.LakeOptions)
 	st, err := durable.Open(dir, durable.Options{
 		Sync: policy, SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		WALFormat: format, LakeOptions: lakeOpts,
+		LakeOptions: lakeOpts,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
