@@ -11,7 +11,7 @@
 //	    verify (or re-verify with an overridden value) one tuple attribute
 //	verifai demo
 //	    run the paper's Figure 1 and Figure 4 cases on the built-in case lake
-//	verifai serve -lake DIR -addr :8080 [-shards N] [-ingest-queue N]
+//	verifai serve -lake DIR -addr :8080 [-shards N]
 //	              [-quantize] [-rerank-multiple N]
 //	              [-verify-concurrency N] [-verify-timeout 30s]
 //	              [-read-timeout 30s] [-read-header-timeout 5s]
@@ -23,8 +23,7 @@
 //	    ingestion is pipelined — embedding runs outside the lake's write
 //	    lock and POST /v1/ingest/batch commits mixed batches under one
 //	    lock acquisition; -shards enables the sharded parallel
-//	    retrieval/applier layout, -ingest-queue bounds the in-flight
-//	    ingest event queue, and -quantize stores flat vector shards
+//	    retrieval/applier layout, and -quantize stores flat vector shards
 //	    int8-scalar-quantized (4x smaller, faster scans) with the top
 //	    -rerank-multiple*k candidates re-ranked in exact float math. The verify endpoints are admission-controlled
 //	    (-verify-concurrency; saturated requests answer 429) and
@@ -161,15 +160,11 @@ func (t indexTuning) apply(opts *verifai.Options) {
 	}
 }
 
-func buildSystem(lakeDir string, seed uint64, exact bool, tune indexTuning, ingestQueue int) (*verifai.System, *verifai.Lake, error) {
+func buildSystem(lakeDir string, seed uint64, exact bool, tune indexTuning) (*verifai.System, *verifai.Lake, error) {
 	if lakeDir == "" {
 		return nil, nil, fmt.Errorf("-lake is required")
 	}
-	var lakeOpts []verifai.LakeOption
-	if ingestQueue > 0 {
-		lakeOpts = append(lakeOpts, verifai.WithIngestQueue(ingestQueue))
-	}
-	lake, err := lakeio.Load(lakeDir, lakeOpts...)
+	lake, err := lakeio.Load(lakeDir)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -219,7 +214,7 @@ func runClaim(args []string) error {
 	if *text == "" {
 		return fmt.Errorf("-text is required")
 	}
-	sys, _, err := buildSystem(*lakeDir, *seed, *exact, indexTuning{}, 0)
+	sys, _, err := buildSystem(*lakeDir, *seed, *exact, indexTuning{})
 	if err != nil {
 		return err
 	}
@@ -289,7 +284,7 @@ func runTuple(args []string) error {
 	if *tableID == "" || *attr == "" {
 		return fmt.Errorf("-table and -attr are required")
 	}
-	sys, lake, err := buildSystem(*lakeDir, *seed, *exact, indexTuning{}, 0)
+	sys, lake, err := buildSystem(*lakeDir, *seed, *exact, indexTuning{})
 	if err != nil {
 		return err
 	}
@@ -371,33 +366,18 @@ func runServe(args []string) error {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	lakeDir, seed, exact := commonFlags(fs)
 	addr := fs.String("addr", ":8080", "listen address")
-	shards := fs.Int("shards", 0, "index shards per kind and family (0 = unsharded)")
-	quantize := fs.Bool("quantize", false, "int8 scalar-quantize flat vector shards; searches re-rank candidates with exact float math")
-	rerankMultiple := fs.Int("rerank-multiple", 0, "quantized search scans rerank-multiple*k candidates before exact re-rank (0 = default 4)")
-	ingestQueue := fs.Int("ingest-queue", 0, "bound on the in-flight ingest event queue (0 = default 256)")
-	verifyConcurrency := fs.Int("verify-concurrency", 0, "max concurrently admitted verify requests; beyond it requests answer 429 (0 = 4x GOMAXPROCS, <0 = unlimited)")
-	verifyTimeout := fs.Duration("verify-timeout", 30*time.Second, "per-request verification deadline; expiry aborts the pipeline and answers 504 (0 = client-bounded only)")
-	readTimeout := fs.Duration("read-timeout", 30*time.Second, "max duration for reading an entire request, body included (0 = unlimited)")
-	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "max duration for reading request headers; defeats slowloris clients (0 = falls back to -read-timeout)")
-	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = falls back to -read-timeout)")
 	dataDir := fs.String("data-dir", "", "durable data directory (WAL + checkpoints); empty serves in-memory")
-	fsync := fs.String("fsync", "interval", "WAL sync policy: always|interval|none (with -data-dir)")
-	checkpointEvery := fs.Duration("checkpoint-every", 0, "periodic checkpoint cadence, e.g. 5m (0 = only on shutdown and POST /v1/admin/checkpoint)")
-	snapshotRetain := fs.Int("snapshot-retain", 0, "retained time-travel snapshots beyond explicit pins; older unpinned snapshots are collected (0 = default 8)")
-	debugAddr := fs.String("debug-addr", "", "side listener for /debug/pprof/*, /debug/traces, and /metrics (empty = disabled)")
+	sf := addServeFlags(fs)
+	fs.IntVar(&sf.tune.snapshotRetain, "snapshot-retain", 0, "retained time-travel snapshots beyond explicit pins; older unpinned snapshots are collected (0 = default 8)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
 	var sys *verifai.System
-	tune := indexTuning{shards: *shards, quantize: *quantize, rerankMultiple: *rerankMultiple, snapshotRetain: *snapshotRetain}
-	serverOpts := []server.Option{server.WithVerifyTimeout(*verifyTimeout)}
-	if *verifyConcurrency != 0 {
-		serverOpts = append(serverOpts, server.WithVerifyConcurrency(*verifyConcurrency))
-	}
+	serverOpts := sf.serverOptions()
 	if *dataDir != "" {
 		var err error
-		sys, err = openDurable(*dataDir, *lakeDir, *seed, *exact, tune, *ingestQueue, *fsync)
+		sys, err = openDurable(*dataDir, *lakeDir, *seed, *exact, sf.tune, sf.fsync)
 		if err != nil {
 			return err
 		}
@@ -414,7 +394,7 @@ func runServe(args []string) error {
 		}
 	} else {
 		var err error
-		sys, _, err = buildSystem(*lakeDir, *seed, *exact, tune, *ingestQueue)
+		sys, _, err = buildSystem(*lakeDir, *seed, *exact, sf.tune)
 		if err != nil {
 			return err
 		}
@@ -426,25 +406,59 @@ func runServe(args []string) error {
 	stats := sys.Pipeline().Lake().Stats()
 	logger.Info("serving", "tables", stats.Tables, "texts", stats.Docs,
 		"lake_version", sys.LakeVersion(), "addr", *addr)
-	return serveLoop(sys, *addr, *debugAddr, serverOpts, listenerTimeouts{
-		read: *readTimeout, readHeader: *readHeaderTimeout, idle: *idleTimeout,
-	}, *checkpointEvery, *dataDir != "")
+	return serveLoop(sys, *addr, serverOpts, sf, *dataDir != "")
 }
 
-// listenerTimeouts carries the http.Server timeout knobs shared by serve
-// and follow.
-type listenerTimeouts struct {
-	read, readHeader, idle time.Duration
+// serveFlags are the flags serve and follow share: index tuning, verify
+// admission and deadline, listener timeouts, WAL sync policy, checkpoint
+// cadence, and the debug side listener.
+type serveFlags struct {
+	tune              indexTuning
+	verifyConcurrency int
+	verifyTimeout     time.Duration
+	readTimeout       time.Duration // http.Server listener timeouts
+	readHeaderTimeout time.Duration
+	idleTimeout       time.Duration
+	fsync             string
+	checkpointEvery   time.Duration
+	debugAddr         string
+}
+
+// addServeFlags registers the flags serve and follow share on fs.
+func addServeFlags(fs *flag.FlagSet) *serveFlags {
+	f := &serveFlags{}
+	fs.IntVar(&f.tune.shards, "shards", 0, "index shards per kind and family (0 = unsharded)")
+	fs.BoolVar(&f.tune.quantize, "quantize", false, "int8 scalar-quantize flat vector shards; searches re-rank candidates with exact float math")
+	fs.IntVar(&f.tune.rerankMultiple, "rerank-multiple", 0, "quantized search scans rerank-multiple*k candidates before exact re-rank (0 = default 4)")
+	fs.IntVar(&f.verifyConcurrency, "verify-concurrency", 0, "max concurrently admitted verify requests; beyond it requests answer 429 (0 = 4x GOMAXPROCS, <0 = unlimited)")
+	fs.DurationVar(&f.verifyTimeout, "verify-timeout", 30*time.Second, "per-request verification deadline; expiry aborts the pipeline and answers 504 (0 = client-bounded only)")
+	fs.DurationVar(&f.readTimeout, "read-timeout", 30*time.Second, "max duration for reading an entire request, body included (0 = unlimited)")
+	fs.DurationVar(&f.readHeaderTimeout, "read-header-timeout", 5*time.Second, "max duration for reading request headers; defeats slowloris clients (0 = falls back to -read-timeout)")
+	fs.DurationVar(&f.idleTimeout, "idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = falls back to -read-timeout)")
+	fs.StringVar(&f.fsync, "fsync", "interval", "WAL sync policy: always|interval|none (with -data-dir)")
+	fs.DurationVar(&f.checkpointEvery, "checkpoint-every", 0, "periodic checkpoint cadence, e.g. 5m; bounds recovery time (0 = only on shutdown and POST /v1/admin/checkpoint)")
+	fs.StringVar(&f.debugAddr, "debug-addr", "", "side listener for /debug/pprof/*, /debug/traces, and /metrics (empty = disabled)")
+	return f
+}
+
+// serverOptions returns the verify deadline and admission options the
+// flags select.
+func (f *serveFlags) serverOptions() []server.Option {
+	opts := []server.Option{server.WithVerifyTimeout(f.verifyTimeout)}
+	if f.verifyConcurrency != 0 {
+		opts = append(opts, server.WithVerifyConcurrency(f.verifyConcurrency))
+	}
+	return opts
 }
 
 // serveLoop runs the HTTP server over an assembled system until
 // SIGINT/SIGTERM, then drains connections, takes a final checkpoint
 // (durable mode), and closes the system — the lifecycle shared by the
 // serve (leader / standalone) and follow (replica) subcommands. A
-// non-empty debugAddr starts a side listener serving /debug/pprof/*,
+// non-empty -debug-addr starts a side listener serving /debug/pprof/*,
 // /debug/traces, and /metrics — a separate port so profiling and
 // introspection never ride the public API surface.
-func serveLoop(sys *verifai.System, addr, debugAddr string, serverOpts []server.Option, lt listenerTimeouts, checkpointEvery time.Duration, durable bool) error {
+func serveLoop(sys *verifai.System, addr string, serverOpts []server.Option, sf *serveFlags, durable bool) error {
 	// Graceful shutdown: on SIGINT/SIGTERM stop accepting connections,
 	// drain in-flight requests, take a final checkpoint (durable mode),
 	// and close the system so no accepted write is lost.
@@ -465,17 +479,17 @@ func serveLoop(sys *verifai.System, addr, debugAddr string, serverOpts []server.
 	srv := &http.Server{
 		Addr:              addr,
 		Handler:           server.New(sys.Pipeline(), serverOpts...),
-		ReadTimeout:       lt.read,
-		ReadHeaderTimeout: lt.readHeader,
-		IdleTimeout:       lt.idle,
+		ReadTimeout:       sf.readTimeout,
+		ReadHeaderTimeout: sf.readHeaderTimeout,
+		IdleTimeout:       sf.idleTimeout,
 	}
 
-	if debugAddr != "" {
-		dbg := &http.Server{Addr: debugAddr, Handler: obs.DebugHandler(sys.Metrics())}
+	if sf.debugAddr != "" {
+		dbg := &http.Server{Addr: sf.debugAddr, Handler: obs.DebugHandler(sys.Metrics())}
 		go func() {
-			logger.Info("debug listener up", "addr", debugAddr)
+			logger.Info("debug listener up", "addr", sf.debugAddr)
 			if err := dbg.ListenAndServe(); err != nil && err != http.ErrServerClosed {
-				logger.Error("debug listener failed", "addr", debugAddr, "err", err)
+				logger.Error("debug listener failed", "addr", sf.debugAddr, "err", err)
 			}
 		}()
 		go func() {
@@ -486,9 +500,9 @@ func serveLoop(sys *verifai.System, addr, debugAddr string, serverOpts []server.
 		}()
 	}
 
-	if durable && checkpointEvery > 0 {
+	if durable && sf.checkpointEvery > 0 {
 		go func() {
-			t := time.NewTicker(checkpointEvery)
+			t := time.NewTicker(sf.checkpointEvery)
 			defer t.Stop()
 			for {
 				select {
@@ -555,18 +569,7 @@ func runFollow(args []string) error {
 	addr := fs.String("addr", ":8081", "listen address")
 	seed := fs.Uint64("seed", 1, "deterministic seed")
 	exact := fs.Bool("exact", true, "exact reasoning (no calibrated error injection)")
-	shards := fs.Int("shards", 0, "index shards per kind and family (0 = unsharded)")
-	quantize := fs.Bool("quantize", false, "int8 scalar-quantize flat vector shards")
-	rerankMultiple := fs.Int("rerank-multiple", 0, "quantized re-rank candidate multiple (0 = default 4)")
-	ingestQueue := fs.Int("ingest-queue", 0, "bound on the in-flight ingest event queue (0 = default 256)")
-	verifyConcurrency := fs.Int("verify-concurrency", 0, "max concurrently admitted verify requests (0 = 4x GOMAXPROCS, <0 = unlimited)")
-	verifyTimeout := fs.Duration("verify-timeout", 30*time.Second, "per-request verification deadline (0 = client-bounded only)")
-	readTimeout := fs.Duration("read-timeout", 30*time.Second, "max duration for reading an entire request (0 = unlimited)")
-	readHeaderTimeout := fs.Duration("read-header-timeout", 5*time.Second, "max duration for reading request headers (0 = falls back to -read-timeout)")
-	idleTimeout := fs.Duration("idle-timeout", 2*time.Minute, "max keep-alive idle time between requests (0 = falls back to -read-timeout)")
-	fsync := fs.String("fsync", "interval", "WAL sync policy: always|interval|none")
-	checkpointEvery := fs.Duration("checkpoint-every", 0, "periodic checkpoint cadence; bounds the follower's own recovery time (0 = only at shutdown)")
-	debugAddr := fs.String("debug-addr", "", "side listener for /debug/pprof/*, /debug/traces, and /metrics (empty = disabled)")
+	sf := addServeFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -578,28 +581,20 @@ func runFollow(args []string) error {
 	if *exact {
 		opts = verifai.ExactOptions(*seed)
 	}
-	indexTuning{shards: *shards, quantize: *quantize, rerankMultiple: *rerankMultiple}.apply(&opts)
-	openOpts := verifai.OpenOptions{Options: opts, Sync: *fsync}
-	if *ingestQueue > 0 {
-		openOpts.LakeOptions = append(openOpts.LakeOptions, verifai.WithIngestQueue(*ingestQueue))
-	}
-	sys, err := verifai.OpenFollower(*dataDir, *leader, openOpts)
+	sf.tune.apply(&opts)
+	sys, err := verifai.OpenFollower(*dataDir, *leader, verifai.OpenOptions{Options: opts, Sync: sf.fsync})
 	if err != nil {
 		return err
 	}
 
-	serverOpts := []server.Option{
-		server.WithVerifyTimeout(*verifyTimeout),
+	serverOpts := append(sf.serverOptions(),
 		server.WithFollower(*leader),
 		server.WithDurability(
 			func() verifai.DurabilityStats { st, _ := sys.Durability(); return st },
 			sys.Checkpoint,
 		),
 		server.WithReplication(func() any { st, _ := sys.Replication(); return st }),
-	}
-	if *verifyConcurrency != 0 {
-		serverOpts = append(serverOpts, server.WithVerifyConcurrency(*verifyConcurrency))
-	}
+	)
 	// A follower re-serves its own change feed (its WAL mirrors the
 	// leader's), so replicas can chain and CDC consumers can read replicas.
 	if wlog, floor, ckpt, _, ok := sys.ChangeFeed(); ok {
@@ -609,9 +604,7 @@ func runFollow(args []string) error {
 	}
 
 	logger.Info("following", "leader", *leader, "lake_version", sys.LakeVersion(), "addr", *addr)
-	return serveLoop(sys, *addr, *debugAddr, serverOpts, listenerTimeouts{
-		read: *readTimeout, readHeader: *readHeaderTimeout, idle: *idleTimeout,
-	}, *checkpointEvery, true)
+	return serveLoop(sys, *addr, serverOpts, sf, true)
 }
 
 // openDurable opens (or creates) the durable system under dataDir,
@@ -619,17 +612,13 @@ func runFollow(args []string) error {
 // dir through the durable write path (so the seed data is itself logged
 // and checkpointed); a non-empty data dir ignores -lake, since its own
 // recovered state wins.
-func openDurable(dataDir, lakeDir string, seed uint64, exact bool, tune indexTuning, ingestQueue int, fsync string) (*verifai.System, error) {
+func openDurable(dataDir, lakeDir string, seed uint64, exact bool, tune indexTuning, fsync string) (*verifai.System, error) {
 	opts := verifai.DefaultOptions(seed)
 	if exact {
 		opts = verifai.ExactOptions(seed)
 	}
 	tune.apply(&opts)
-	openOpts := verifai.OpenOptions{Options: opts, Sync: fsync}
-	if ingestQueue > 0 {
-		openOpts.LakeOptions = append(openOpts.LakeOptions, verifai.WithIngestQueue(ingestQueue))
-	}
-	sys, err := verifai.Open(dataDir, openOpts)
+	sys, err := verifai.Open(dataDir, verifai.OpenOptions{Options: opts, Sync: fsync})
 	if err != nil {
 		return nil, err
 	}

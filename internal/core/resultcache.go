@@ -96,7 +96,7 @@ func newResultCache(capacity int) *resultCache {
 }
 
 // attach subscribes the cache to the lake's change feed and to source
-// registrations. The feed subscription is quiesced (SubscribeSync): a
+// registrations. Subscribe quiesces the lake while it registers: a
 // write committed but still dispatching during pipeline construction
 // cannot slip past the watermark unobserved. The subscriber's Apply
 // completes synchronously on the dispatcher goroutine, so the per-kind
@@ -106,7 +106,7 @@ func newResultCache(capacity int) *resultCache {
 // TrustPrior that verdict resolution falls back to, which is invisible to
 // the versioned feed.
 func (c *resultCache) attach(lake *datalake.Lake) error {
-	unsubFeed, err := lake.SubscribeSync(nil, datalake.Subscriber{
+	unsubFeed, err := lake.Subscribe(nil, datalake.Subscriber{
 		Apply: func(ev datalake.Event, done func(error)) {
 			c.observe(ev)
 			done(nil)

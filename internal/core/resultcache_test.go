@@ -109,7 +109,7 @@ func TestResultCacheHitAndExactInvalidation(t *testing.T) {
 	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable, datalake.KindText); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := p.Lake().AddDocumentVersioned(&doc.Document{ID: "other2", Text: "more prose", SourceID: "s2"}); err != nil {
+	if err := p.Lake().AddDocument(&doc.Document{ID: "other2", Text: "more prose", SourceID: "s2"}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := p.VerifyCtx(context.Background(), g, datalake.KindTable, datalake.KindText); err != nil {

@@ -42,11 +42,14 @@ func (l *Lake) AddBatch(items []BatchItem) ([]BatchItemResult, error) {
 	return l.addBatch(items, false)
 }
 
-// addBatch is the shared implementation behind AddBatch (local writes) and
-// ReplicateBatch (the replication apply path, which bypasses the follower's
-// read-only gate but is otherwise the identical pipeline — replicated
-// events prepare, commit, and apply exactly like local ingests, so index
-// maintenance and cache watermarks behave identically on both roles).
+// addBatch is the lake's only commit body. AddTable, AddDocument and
+// AddTriple call it with a batch of one, AddBatch with a local batch, and
+// ReplicateBatch (follower apply and write-ahead-log replay) with
+// replica=true, which bypasses the follower's read-only gate but is
+// otherwise the identical pipeline — every mutation prepares, stages,
+// passes the durable hook, materializes, enqueues and is awaited the same
+// way, so index maintenance and cache watermarks behave identically on
+// every role.
 func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, error) {
 	results := make([]BatchItemResult, len(items))
 	if len(items) == 0 {
@@ -128,7 +131,6 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 		l.writeMu.Unlock()
 		return results, ErrReadOnly
 	}
-	committed := make([]uint64, len(items))
 	staged := make([]int, 0, len(items))
 	st := newStaging()
 	l.mu.RLock()
@@ -161,16 +163,12 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 	l.mu.Lock()
 	for _, i := range staged {
 		l.materializeLocked(&evs[i])
-		committed[i] = evs[i].Version
 		results[i].Version = evs[i].Version
 	}
 	l.mu.Unlock()
 	// Enqueue under writeMu so queue order stays version order; a full
 	// queue applies backpressure here, bounding queued-event memory.
-	for i := range items {
-		if committed[i] == 0 {
-			continue
-		}
+	for _, i := range staged {
 		l.events <- queuedEvent{ev: evs[i], payloads: payloads[i]}
 	}
 	l.writeMu.Unlock()
@@ -178,11 +176,8 @@ func (l *Lake) addBatch(items []BatchItem, replica bool) ([]BatchItemResult, err
 
 	// Stage 4: await application of every committed item (ascending, so
 	// only the tail wait actually blocks) and claim its application error.
-	for i := range items {
-		if committed[i] == 0 {
-			continue
-		}
-		if err := l.waitClaimed(committed[i]); err != nil {
+	for _, i := range staged {
+		if err := l.waitClaimed(results[i].Version); err != nil {
 			results[i].Err = err
 		}
 	}

@@ -7,6 +7,12 @@
 //	tuple:<tableID>#<row>    one row of a table
 //	text:<docID>             a text document
 //	entity:<name>            a knowledge-graph entity neighborhood
+//
+// The lake is live and versioned. Every mutation — a single AddTable,
+// AddDocument or AddTriple (a batch of one), an AddBatch, a replayed
+// write-ahead-log record or a replicated follower batch — commits through
+// one pipelined batch path and reaches change subscribers (Subscribe) in
+// version order.
 package datalake
 
 import (
@@ -143,19 +149,6 @@ func (ev Event) Touches() []Kind {
 	}
 }
 
-// ChangeHook observes committed mutations. Hooks run on the lake's
-// dispatcher goroutine in version order, with no lake locks held. A hook
-// error is reported to the ingest caller whose mutation it rejected; the
-// catalog mutation itself stays committed — the error signals that a
-// downstream consumer (e.g. an incremental indexer) lagged, not that the
-// data was lost.
-//
-// Hooks must not ingest into the lake (AddTable and friends): the
-// dispatcher that runs them is also the consumer that drains the ingest
-// queue, so a reentrant write can deadlock against queue backpressure.
-// Reading the lake (Resolve, Graph, Stats, ...) is allowed.
-type ChangeHook func(Event) error
-
 // PrepareFunc is a subscriber's pre-commit stage. It runs on the ingesting
 // goroutine before the lake's write lock is taken, so expensive derivations
 // (tokenization, embedding) happen outside every lock and concurrent
@@ -183,8 +176,15 @@ type SourceHook func(Source) error
 // once — possibly from another goroutine — when the event has been fully
 // applied (e.g. after per-shard index appliers finish). The lake publishes
 // the event's version (Version, Flush, ingest-caller returns) only after
-// every subscriber's done fires. Like ChangeHook, ApplyFunc must not
-// ingest into the lake.
+// every subscriber's done fires. A done error is reported to the ingest
+// caller whose mutation it rejected; the catalog mutation itself stays
+// committed — the error signals that a downstream consumer (e.g. an
+// incremental indexer) lagged, not that the data was lost.
+//
+// ApplyFunc must not ingest into the lake (AddTable and friends): the
+// dispatcher that runs it is also the consumer that drains the ingest
+// queue, so a reentrant write can deadlock against queue backpressure.
+// Reading the lake (Resolve, Graph, Stats, ...) is allowed.
 type ApplyFunc func(ev Event, done func(error))
 
 // Subscriber is a two-stage change consumer: Prepare precomputes the
@@ -204,31 +204,21 @@ var ErrClosed = errors.New("datalake: lake closed")
 // full, so queued-event memory is bounded under ingest bursts.
 const defaultQueueSize = 256
 
-// Option configures a Lake.
-type Option func(*Lake)
-
-// WithQueueSize overrides the bounded ingest-event queue capacity
-// (default 256). Larger values absorb bigger ingest bursts before
-// backpressure blocks writers; smaller values bound memory tighter.
-func WithQueueSize(n int) Option {
-	return func(l *Lake) {
-		if n > 0 {
-			l.queueSize = n
-		}
-	}
-}
-
 // Lake is the multi-modal data lake catalog. The lake is live: ingestion is
 // allowed at any time, while lookups take a shared lock, so the lake serves
 // reads during writes. Every mutation bumps a monotonic version.
 //
-// The write path is pipelined. An ingest runs three stages:
+// The lake has one commit path, addBatch: AddTable, AddDocument and
+// AddTriple commit a batch of one, and AddBatch, ReplicateBatch (follower
+// apply and write-ahead-log replay) commit larger ones. Every mutation
+// runs the same pipelined stages:
 //
 //  1. prepare — subscriber Prepare funcs derive expensive payloads
 //     (tokenize, embed) on the ingesting goroutine, outside every lake
 //     lock, so concurrent writers prepare in parallel;
-//  2. commit — the write lock covers only the catalog mutation, version
-//     assignment, and enqueueing the event on a bounded ordered queue;
+//  2. commit — under the write lock: stage (duplicate check + version
+//     assignment), the durable commit hook, catalog materialization, and
+//     enqueueing the event on a bounded ordered queue;
 //  3. apply — a dispatcher goroutine delivers events to subscribers in
 //     version order; application (index maintenance) may fan out to
 //     per-shard appliers and completes asynchronously.
@@ -262,7 +252,6 @@ type Lake struct {
 	// events is the bounded ordered queue between commit and dispatch.
 	// Sends happen under writeMu, so channel order is version order.
 	events    chan queuedEvent
-	queueSize int
 	closeOnce sync.Once
 	closeErr  error
 	// dispatchDone closes when the dispatcher exits (after Close drains).
@@ -283,7 +272,7 @@ type Lake struct {
 	// (or Flush) claims them.
 	failed map[uint64]error
 	// waiting counts ingest callers registered (at commit time) to claim
-	// their version's application error; Flush and WaitVersion leave those
+	// their version's application error; Flush leaves those
 	// errors for the registered claimant instead of stealing them.
 	waiting map[uint64]int
 	// ahead holds completion results for versions above processed+1, so
@@ -337,8 +326,13 @@ type queuedEvent struct {
 // New returns an empty lake and starts its event dispatcher. The
 // dispatcher goroutine keeps the lake reachable until Close, so a
 // long-lived process that discards lakes (rather than keeping one for its
-// lifetime) must Close them to release the memory.
-func New(opts ...Option) *Lake {
+// lifetime) must Close them to release the memory. The ingest queue holds
+// defaultQueueSize events.
+func New() *Lake { return newLake(defaultQueueSize) }
+
+// newLake is New with an explicit ingest-queue capacity; tests use small
+// queues to exercise backpressure.
+func newLake(queueSize int) *Lake {
 	l := &Lake{
 		tables:       make(map[string]*table.Table),
 		docs:         make(map[string]*doc.Document),
@@ -347,14 +341,10 @@ func New(opts ...Option) *Lake {
 		failed:       make(map[uint64]error),
 		waiting:      make(map[uint64]int),
 		ahead:        make(map[uint64]error),
-		queueSize:    defaultQueueSize,
+		events:       make(chan queuedEvent, queueSize),
 		dispatchDone: make(chan struct{}),
 	}
-	for _, o := range opts {
-		o(l)
-	}
 	l.cond = sync.NewCond(&l.mu)
-	l.events = make(chan queuedEvent, l.queueSize)
 	go l.dispatch()
 	return l
 }
@@ -509,46 +499,27 @@ func (l *Lake) Sources() []Source {
 }
 
 // registeredHook pairs a subscriber with its registration handle so it can
-// be removed again (synchronous ChangeHooks are wrapped into ApplyFuncs at
-// registration).
+// be removed again.
 type registeredHook struct {
 	id      int
 	apply   ApplyFunc
 	prepare PrepareFunc
 }
 
-// OnChange registers a hook observing every subsequent mutation. Typically
-// called once at system assembly (before concurrent ingestion starts) to
-// wire incremental index maintenance. The returned function unsubscribes
-// the hook (idempotent); discard it for a process-lifetime subscription.
-func (l *Lake) OnChange(h ChangeHook) (unsubscribe func()) {
-	return l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) { done(h(ev)) }})
-}
-
-// Subscribe registers a two-stage subscriber observing every subsequent
-// mutation. The returned function unsubscribes it (idempotent) and blocks
-// until any in-flight delivery to the subscriber has returned, so after it
-// returns the subscriber's Apply is never invoked again.
-func (l *Lake) Subscribe(s Subscriber) (unsubscribe func()) {
-	l.hooksMu.Lock()
-	defer l.hooksMu.Unlock()
-	return l.subscribeLocked(s)
-}
-
-// OnChangeSync runs init and then registers h, with the lake quiesced: the
-// write lock is held and the event queue fully drained across both, so no
-// mutation can commit — and no committed mutation can still be applying —
-// between init's snapshot of the lake and the registration. An incremental
-// indexer uses this to close the gap where a concurrent ingest would be
-// neither bulk-indexed nor delivered as an event. init may read the lake
-// but must not mutate it (that would deadlock); an init error aborts the
+// Subscribe runs init and then registers s to observe every subsequent
+// mutation, with the lake quiesced: the write lock is held and the event
+// queue fully drained across both, so no mutation can commit — and no
+// committed mutation can still be applying — between init's snapshot of
+// the lake and the registration. An incremental indexer uses this to close
+// the gap where a concurrent ingest would be neither bulk-indexed nor
+// delivered as an event. init may be nil; it may read the lake but must
+// not mutate it (that would deadlock), and its error aborts the
 // registration.
-func (l *Lake) OnChangeSync(init func() error, h ChangeHook) (unsubscribe func(), err error) {
-	return l.SubscribeSync(init, Subscriber{Apply: func(ev Event, done func(error)) { done(h(ev)) }})
-}
-
-// SubscribeSync is OnChangeSync for a two-stage Subscriber.
-func (l *Lake) SubscribeSync(init func() error, s Subscriber) (unsubscribe func(), err error) {
+//
+// The returned function unsubscribes s (idempotent) and blocks until any
+// in-flight delivery to it has returned, so after it returns s.Apply is
+// never invoked again.
+func (l *Lake) Subscribe(init func() error, s Subscriber) (unsubscribe func(), err error) {
 	// Quiesce: every committed event has been applied before init snapshots
 	// the catalog, so nothing is both snapshotted and later delivered.
 	err = l.Quiesce(func(uint64) error {
@@ -559,31 +530,25 @@ func (l *Lake) SubscribeSync(init func() error, s Subscriber) (unsubscribe func(
 		}
 		l.hooksMu.Lock()
 		defer l.hooksMu.Unlock()
-		unsubscribe = l.subscribeLocked(s)
+		l.hookSeq++
+		id := l.hookSeq
+		l.hooks = append(l.hooks, registeredHook{id: id, apply: s.Apply, prepare: s.Prepare})
+		unsubscribe = func() {
+			l.hooksMu.Lock()
+			defer l.hooksMu.Unlock()
+			for i, rh := range l.hooks {
+				if rh.id == id {
+					l.hooks = append(l.hooks[:i], l.hooks[i+1:]...)
+					return
+				}
+			}
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return unsubscribe, nil
-}
-
-// subscribeLocked appends the subscriber and builds its unsubscribe
-// closure. Caller holds hooksMu.
-func (l *Lake) subscribeLocked(s Subscriber) func() {
-	l.hookSeq++
-	id := l.hookSeq
-	l.hooks = append(l.hooks, registeredHook{id: id, apply: s.Apply, prepare: s.Prepare})
-	return func() {
-		l.hooksMu.Lock()
-		defer l.hooksMu.Unlock()
-		for i, rh := range l.hooks {
-			if rh.id == id {
-				l.hooks = append(l.hooks[:i], l.hooks[i+1:]...)
-				return
-			}
-		}
-	}
 }
 
 // Version returns the lake's monotonic mutation version (0 for an empty,
@@ -705,49 +670,28 @@ func (l *Lake) applied(version uint64, err error) {
 	l.cond.Broadcast()
 }
 
-// WaitVersion blocks until the mutation committed as version v has been
-// fully applied (its indexing finished, successfully or not), then returns
-// the application error recorded for v, if any. An error whose ingest
-// caller is still waiting for it stays reserved for that caller (this
-// function reports it without claiming it); otherwise the error is
-// claimed and reported once. Waiting for a version that was never
-// committed blocks until it is — or returns ErrClosed once Close
-// guarantees it never will be.
-func (l *Lake) WaitVersion(v uint64) error {
-	return l.wait(v, false)
-}
-
-// waitClaimed is WaitVersion for the ingest caller registered at commit
-// time: it always claims the version's error and releases the
-// registration. Its callers wait on committed versions, which Close always
-// applies before draining, so the drained guard is only a safety net.
+// waitClaimed blocks until the mutation committed as version v has been
+// fully applied (its indexing finished, successfully or not), then claims
+// and returns the application error recorded for v, releasing the ingest
+// caller's registration. Its callers wait on committed versions, which
+// Close always applies before draining, so the drained guard is only a
+// safety net.
 func (l *Lake) waitClaimed(v uint64) error {
-	return l.wait(v, true)
-}
-
-// wait is the single wait-loop implementation behind WaitVersion (claim
-// only when unreserved) and waitClaimed (always claim and deregister).
-func (l *Lake) wait(v uint64, claim bool) error {
 	l.mu.Lock()
+	defer l.mu.Unlock()
 	for l.processed < v {
 		if l.drained {
-			l.mu.Unlock()
 			return ErrClosed
 		}
 		l.cond.Wait()
 	}
 	err := l.failed[v]
-	if claim {
-		delete(l.failed, v)
-		if n := l.waiting[v]; n > 1 {
-			l.waiting[v] = n - 1
-		} else {
-			delete(l.waiting, v)
-		}
-	} else if l.waiting[v] == 0 {
-		delete(l.failed, v)
+	delete(l.failed, v)
+	if n := l.waiting[v]; n > 1 {
+		l.waiting[v] = n - 1
+	} else {
+		delete(l.waiting, v)
 	}
-	l.mu.Unlock()
 	return err
 }
 
@@ -905,135 +849,28 @@ func (l *Lake) materializeLocked(ev *Event) {
 	l.waiting[ev.Version]++
 }
 
-// commit runs the commit stage for one event under the write lock: stage
-// (validate + assign version), durable hook, materialize, enqueue. The
-// hook runs without mu so readers stay unblocked during an fsync; writeMu
-// keeps the staged version reserved meanwhile.
-func (l *Lake) commit(payloads map[int]any, ev Event) (uint64, error) {
-	defer l.m.commitSec.Since(time.Now())
-	l.writeMu.Lock()
-	if l.closed {
-		l.writeMu.Unlock()
-		return 0, ErrClosed
-	}
-	if l.readOnly {
-		// Single-item ingest is always a local write: the replication apply
-		// path batches through ReplicateBatch.
-		l.writeMu.Unlock()
-		return 0, ErrReadOnly
-	}
-	l.mu.RLock()
-	err := l.stageLocked(&ev, l.version+1, newStaging())
-	l.mu.RUnlock()
+// AddTable ingests a table as a batch of one. The table's ID must be
+// unique. Safe to call at any time, including while the lake serves
+// queries.
+func (l *Lake) AddTable(t *table.Table) error { return l.addOne(BatchItem{Table: t}) }
+
+// AddDocument ingests a text document as a batch of one. The document's ID
+// must be unique. Safe to call at any time, including while the lake
+// serves queries.
+func (l *Lake) AddDocument(d *doc.Document) error { return l.addOne(BatchItem{Doc: d}) }
+
+// AddTriple ingests a knowledge-graph triple as a batch of one. Safe to
+// call at any time, including while the lake serves queries.
+func (l *Lake) AddTriple(t kg.Triple) error { return l.addOne(BatchItem{Triple: &t}) }
+
+// addOne commits a one-item local batch and returns the batch-level error
+// (ErrClosed, ErrReadOnly) or else the item's own.
+func (l *Lake) addOne(it BatchItem) error {
+	results, err := l.addBatch([]BatchItem{it}, false)
 	if err != nil {
-		l.writeMu.Unlock()
-		return 0, err
+		return err
 	}
-	if l.commitHook != nil {
-		if err := l.commitHook([]Event{ev}); err != nil {
-			l.writeMu.Unlock()
-			return 0, err
-		}
-	}
-	l.mu.Lock()
-	l.materializeLocked(&ev)
-	l.mu.Unlock()
-	// Enqueue under writeMu so queue order is version order; a full queue
-	// blocks writers here (backpressure), never readers.
-	l.events <- queuedEvent{ev: ev, payloads: payloads}
-	l.writeMu.Unlock()
-	return ev.Version, nil
-}
-
-// AddTable ingests a table. The table's ID must be unique. Safe to call at
-// any time, including while the lake serves queries.
-func (l *Lake) AddTable(t *table.Table) error {
-	_, err := l.AddTableVersioned(t)
-	return err
-}
-
-// AddTableVersioned is AddTable returning the lake version the mutation
-// committed as, for callers correlating ingests with the change feed.
-func (l *Lake) AddTableVersioned(t *table.Table) (uint64, error) {
-	if t.ID == "" {
-		return 0, fmt.Errorf("datalake: table with empty ID")
-	}
-	if l.hasTable(t.ID) { // cheap pre-check: skip prepare for obvious dups
-		return 0, fmt.Errorf("datalake: duplicate table id %q: %w", t.ID, ErrDuplicate)
-	}
-	payloads, err := l.prepare(Event{Kind: KindTable, Table: t})
-	if err != nil {
-		return 0, err
-	}
-	v, err := l.commit(payloads, Event{Kind: KindTable, Table: t})
-	if err != nil {
-		return 0, err
-	}
-	return v, l.waitClaimed(v)
-}
-
-// AddDocument ingests a text document. The document's ID must be unique.
-// Safe to call at any time, including while the lake serves queries.
-func (l *Lake) AddDocument(d *doc.Document) error {
-	_, err := l.AddDocumentVersioned(d)
-	return err
-}
-
-// AddDocumentVersioned is AddDocument returning the lake version the
-// mutation committed as.
-func (l *Lake) AddDocumentVersioned(d *doc.Document) (uint64, error) {
-	if d.ID == "" {
-		return 0, fmt.Errorf("datalake: document with empty ID")
-	}
-	if l.hasDoc(d.ID) {
-		return 0, fmt.Errorf("datalake: duplicate document id %q: %w", d.ID, ErrDuplicate)
-	}
-	payloads, err := l.prepare(Event{Kind: KindText, Doc: d})
-	if err != nil {
-		return 0, err
-	}
-	v, err := l.commit(payloads, Event{Kind: KindText, Doc: d})
-	if err != nil {
-		return 0, err
-	}
-	return v, l.waitClaimed(v)
-}
-
-// AddTriple ingests a knowledge-graph triple. Safe to call at any time,
-// including while the lake serves queries. The returned error only ever
-// comes from event application (the graph itself accepts every triple).
-func (l *Lake) AddTriple(t kg.Triple) error {
-	_, err := l.AddTripleVersioned(t)
-	return err
-}
-
-// AddTripleVersioned is AddTriple returning the lake version the mutation
-// committed as.
-func (l *Lake) AddTripleVersioned(t kg.Triple) (uint64, error) {
-	payloads, err := l.prepare(Event{Kind: KindEntity, Triple: &t})
-	if err != nil {
-		return 0, err
-	}
-	v, err := l.commit(payloads, Event{Kind: KindEntity, Triple: &t})
-	if err != nil {
-		return 0, err
-	}
-	return v, l.waitClaimed(v)
-}
-
-// hasTable / hasDoc are shared-lock duplicate pre-checks.
-func (l *Lake) hasTable(id string) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	_, ok := l.tables[id]
-	return ok
-}
-
-func (l *Lake) hasDoc(id string) bool {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	_, ok := l.docs[id]
-	return ok
+	return results[0].Err
 }
 
 // Graph returns the lake's knowledge graph (shared; internally synchronized,

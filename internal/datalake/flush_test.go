@@ -1,6 +1,7 @@
 package datalake
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -19,9 +20,9 @@ import (
 // watermark covers every accepted write, every one is resolvable, and
 // Version() equals the watermark (all applications completed).
 func TestFlushUnderLoad(t *testing.T) {
-	l := New(WithQueueSize(8)) // small queue: exercise backpressure too
+	l := newLake(8) // small queue: exercise backpressure too
 	var applied atomic.Int64
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
+	l.Subscribe(nil, Subscriber{Apply: func(ev Event, done func(error)) {
 		go func() { // complete off the dispatcher, out of order
 			time.Sleep(time.Duration(ev.Version%3) * time.Millisecond)
 			applied.Add(1)
@@ -74,7 +75,7 @@ func TestCloseRejectsNewKeepsQueued(t *testing.T) {
 	l := New()
 	gate := make(chan struct{})
 	var applied atomic.Int64
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
+	l.Subscribe(nil, Subscriber{Apply: func(ev Event, done func(error)) {
 		go func() {
 			<-gate
 			applied.Add(1)
@@ -147,8 +148,8 @@ func TestCloseRejectsNewKeepsQueued(t *testing.T) {
 	}
 	// Waiting for a version that can no longer commit returns ErrClosed
 	// instead of blocking forever.
-	if err := l.WaitVersion(l.Version() + 1); !errors.Is(err, ErrClosed) {
-		t.Fatalf("WaitVersion(future) after Close = %v, want ErrClosed", err)
+	if err := l.WaitApplied(context.Background(), l.Version()+1); !errors.Is(err, ErrClosed) {
+		t.Fatalf("WaitApplied(future) after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -159,7 +160,7 @@ func TestAddBatchMixed(t *testing.T) {
 	l := New()
 	var mu sync.Mutex
 	var versions []uint64
-	l.OnChange(func(ev Event) error {
+	onChange(l, func(ev Event) error {
 		mu.Lock()
 		versions = append(versions, ev.Version)
 		mu.Unlock()
@@ -226,7 +227,7 @@ func TestSubscriberPreparePayload(t *testing.T) {
 	l := New()
 	type payload struct{ derived string }
 	var prepared, appliedOK atomic.Int64
-	l.Subscribe(Subscriber{
+	l.Subscribe(nil, Subscriber{
 		Prepare: func(ev Event) (any, error) {
 			if ev.Version != 0 {
 				t.Errorf("Prepare saw version %d, want 0 (pre-commit)", ev.Version)
@@ -267,7 +268,7 @@ func TestPrepareErrorAbortsIngest(t *testing.T) {
 	l := New()
 	sentinel := errors.New("prepare exploded")
 	events := 0
-	l.Subscribe(Subscriber{
+	l.Subscribe(nil, Subscriber{
 		Prepare: func(Event) (any, error) { return nil, sentinel },
 		Apply:   func(ev Event, done func(error)) { events++; done(nil) },
 	})
@@ -296,7 +297,7 @@ func TestAsyncApplyErrorReported(t *testing.T) {
 	l := New()
 	sentinel := errors.New("shard applier failed")
 	var fail atomic.Bool
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
+	l.Subscribe(nil, Subscriber{Apply: func(ev Event, done func(error)) {
 		go func() {
 			if fail.Load() {
 				done(sentinel)

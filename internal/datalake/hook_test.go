@@ -64,7 +64,7 @@ func TestCommitHookErrorAborts(t *testing.T) {
 	l := New()
 	defer l.Close()
 	var delivered int
-	l.OnChange(func(Event) error { delivered++; return nil })
+	onChange(l, func(Event) error { delivered++; return nil })
 
 	boom := errors.New("disk full")
 	fail := true
@@ -87,7 +87,7 @@ func TestCommitHookErrorAborts(t *testing.T) {
 
 	// The staged version was released: the next successful commit is 1.
 	fail = false
-	v, err := l.AddTableVersioned(table.New("t1", "c", []string{"a"}))
+	v, err := addVersioned(l, BatchItem{Table: table.New("t1", "c", []string{"a"})})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestFastForwardVersion(t *testing.T) {
 	if v := l.Version(); v != 10 {
 		t.Fatalf("Version after fast-forward = %d, want 10", v)
 	}
-	v, err := l.AddDocumentVersioned(&doc.Document{ID: "d2", Text: "x"})
+	v, err := addVersioned(l, BatchItem{Doc: &doc.Document{ID: "d2", Text: "x"}})
 	if err != nil {
 		t.Fatal(err)
 	}

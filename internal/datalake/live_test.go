@@ -17,6 +17,22 @@ func liveTable(id string) *table.Table {
 	return t
 }
 
+// onChange subscribes a synchronous hook: h runs on the dispatcher and its
+// error is the event's application error.
+func onChange(l *Lake, h func(Event) error) {
+	l.Subscribe(nil, Subscriber{Apply: func(ev Event, done func(error)) { done(h(ev)) }})
+}
+
+// addVersioned ingests it as a batch of one and returns the version it
+// committed as.
+func addVersioned(l *Lake, it BatchItem) (uint64, error) {
+	res, err := l.AddBatch([]BatchItem{it})
+	if err != nil {
+		return 0, err
+	}
+	return res[0].Version, res[0].Err
+}
+
 // TestVersionAndEvents checks that every mutation bumps the monotonic
 // version by one and that hooks observe correctly-typed events in version
 // order.
@@ -26,7 +42,7 @@ func TestVersionAndEvents(t *testing.T) {
 		t.Fatalf("fresh lake version = %d, want 0", v)
 	}
 	var events []Event
-	l.OnChange(func(ev Event) error {
+	onChange(l, func(ev Event) error {
 		events = append(events, ev)
 		return nil
 	})
@@ -87,7 +103,7 @@ func TestHookErrorPropagates(t *testing.T) {
 	l := New()
 	sentinel := errors.New("indexer lagged")
 	var fail bool
-	l.OnChange(func(Event) error {
+	onChange(l, func(Event) error {
 		if fail {
 			return sentinel
 		}

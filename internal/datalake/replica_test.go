@@ -45,7 +45,7 @@ func TestReadOnlyRejectsLocalWrites(t *testing.T) {
 	// The replication path must work and feed subscribers normally.
 	var mu sync.Mutex
 	var seen []uint64
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
+	l.Subscribe(nil, Subscriber{Apply: func(ev Event, done func(error)) {
 		mu.Lock()
 		seen = append(seen, ev.Version)
 		mu.Unlock()
@@ -149,9 +149,9 @@ func TestWaitAppliedClosedLake(t *testing.T) {
 // dispatcher can always drain, Close's Flush always terminates, and the
 // in-flight ReplicateBatch either completes or reports ErrClosed.
 func TestFollowerCloseDuringApply(t *testing.T) {
-	l := New(WithQueueSize(1)) // tiny queue: the applier blocks mid-enqueue
+	l := newLake(1) // tiny queue: the applier blocks mid-enqueue
 	l.SetReadOnly(true)
-	l.Subscribe(Subscriber{Apply: func(ev Event, done func(error)) {
+	l.Subscribe(nil, Subscriber{Apply: func(ev Event, done func(error)) {
 		go func() {
 			time.Sleep(2 * time.Millisecond) // slow change-feed consumer
 			done(nil)

@@ -197,7 +197,7 @@ func verifyCrashRecovery(t *testing.T, dir string, kill int64, muts []crashMutat
 	}
 	// The recovered store must accept writes at the right next version.
 	st.Arm()
-	v, err := lake.AddDocumentVersioned(&doc.Document{ID: "post-recovery", Text: "x"})
+	v, err := addDoc(lake, &doc.Document{ID: "post-recovery", Text: "x"})
 	if err != nil {
 		t.Fatalf("kill %d: post-recovery ingest failed: %v", kill, err)
 	}

@@ -14,6 +14,16 @@ import (
 	"repro/internal/wal"
 )
 
+// addDoc ingests d as a batch of one and returns the version it committed
+// as.
+func addDoc(lake *datalake.Lake, d *doc.Document) (uint64, error) {
+	res, err := lake.AddBatch([]datalake.BatchItem{{Doc: d}})
+	if err != nil {
+		return 0, err
+	}
+	return res[0].Version, res[0].Err
+}
+
 // openStore opens dir and runs the full recovery sequence (no indexer in
 // these tests; the datalake alone is under test).
 func openStore(t *testing.T, dir string, opts Options) *Store {
@@ -89,7 +99,7 @@ func TestRecoverWithoutCheckpoint(t *testing.T) {
 
 	// The recovered store keeps accepting and logging writes at the right
 	// versions.
-	v, err := lake2.AddDocumentVersioned(&doc.Document{ID: "post", Text: "x"})
+	v, err := addDoc(lake2, &doc.Document{ID: "post", Text: "x"})
 	if err != nil {
 		t.Fatal(err)
 	}

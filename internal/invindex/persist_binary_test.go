@@ -282,6 +282,12 @@ func TestSearchTermsAllocs(t *testing.T) {
 			t.Fatalf("warmup returned %d hits", len(hits))
 		}
 	}
+	// Under the race detector sync.Pool drops a random quarter of its Puts,
+	// so the scratch pool misses and the count measures the race runtime,
+	// not SearchTerms; the warm-up hit checks above still run there.
+	if raceEnabled {
+		return
+	}
 	allocs := testing.AllocsPerRun(100, func() {
 		ix.SearchTerms(terms, 10)
 	})

@@ -114,11 +114,10 @@ func Save(lake Catalog, dir string) error {
 	return nil
 }
 
-// Load reads a lake directory written by Save. opts configure the returned
-// lake (e.g. datalake.WithQueueSize for the ingest queue bound). The lake
+// Load reads a lake directory written by Save. The lake
 // runs a dispatcher goroutine; processes that discard loaded lakes before
 // exiting should Close them.
-func Load(dir string, opts ...datalake.Option) (_ *datalake.Lake, err error) {
+func Load(dir string) (_ *datalake.Lake, err error) {
 	data, err := os.ReadFile(filepath.Join(dir, "manifest.json"))
 	if err != nil {
 		return nil, fmt.Errorf("lakeio: read manifest: %w", err)
@@ -127,7 +126,7 @@ func Load(dir string, opts ...datalake.Option) (_ *datalake.Lake, err error) {
 	if err := json.Unmarshal(data, &m); err != nil {
 		return nil, fmt.Errorf("lakeio: parse manifest: %w", err)
 	}
-	lake := datalake.New(opts...)
+	lake := datalake.New()
 	// The lake owns a dispatcher goroutine; shut it down if the load is
 	// abandoned on any error path below.
 	defer func() {

@@ -220,9 +220,9 @@ func New(p *core.Pipeline, opts ...Option) *Server {
 	s.mux.HandleFunc("/v1/verify/claim", verifyHandler(s, buildClaimObject))
 	s.mux.HandleFunc("/v1/verify/tuple", verifyHandler(s, buildTupleObject))
 	s.mux.HandleFunc("/v1/verify/batch", s.handleVerifyBatch)
-	s.mux.HandleFunc("/v1/ingest/table", s.handleIngestTable)
-	s.mux.HandleFunc("/v1/ingest/document", s.handleIngestDocument)
-	s.mux.HandleFunc("/v1/ingest/triple", s.handleIngestTriple)
+	s.mux.HandleFunc("/v1/ingest/table", ingestHandler(s, buildTable))
+	s.mux.HandleFunc("/v1/ingest/document", ingestHandler(s, buildDocument))
+	s.mux.HandleFunc("/v1/ingest/triple", ingestHandler(s, buildTriple))
 	s.mux.HandleFunc("/v1/ingest/batch", s.handleIngestBatch)
 	s.mux.HandleFunc("/v1/admin/checkpoint", s.handleCheckpoint)
 	s.mux.HandleFunc("/v1/snapshots", s.handleSnapshots)
@@ -778,103 +778,90 @@ func (s *Server) handleVerifyBatch(w http.ResponseWriter, r *http.Request) {
 }
 
 // buildTable, buildDocument, and buildTriple validate and construct the
-// lake values for the ingest endpoints; the single-item handlers and the
+// lake items for the ingest endpoints; the single-item handlers and the
 // batch handler share them so their validation rules cannot diverge.
-func buildTable(id, caption string, columns []string, rows [][]string, sourceID string) (*table.Table, error) {
-	if id == "" {
-		return nil, fmt.Errorf("id is required")
+func buildTable(req IngestTableRequest) (datalake.BatchItem, error) {
+	if req.ID == "" {
+		return datalake.BatchItem{}, fmt.Errorf("id is required")
 	}
-	if len(columns) == 0 {
-		return nil, fmt.Errorf("columns must be non-empty")
+	if len(req.Columns) == 0 {
+		return datalake.BatchItem{}, fmt.Errorf("columns must be non-empty")
 	}
-	t := table.New(id, caption, columns)
-	t.SourceID = sourceID
-	for i, row := range rows {
+	t := table.New(req.ID, req.Caption, req.Columns)
+	t.SourceID = req.SourceID
+	for i, row := range req.Rows {
 		if err := t.AppendRow(row); err != nil {
-			return nil, fmt.Errorf("row %d: %v", i, err)
+			return datalake.BatchItem{}, fmt.Errorf("row %d: %v", i, err)
 		}
 	}
-	return t, nil
+	return datalake.BatchItem{Table: t}, nil
 }
 
-func buildDocument(id, title, text, sourceID string) (*doc.Document, error) {
-	if id == "" {
-		return nil, fmt.Errorf("id is required")
+func buildDocument(req IngestDocumentRequest) (datalake.BatchItem, error) {
+	if req.ID == "" {
+		return datalake.BatchItem{}, fmt.Errorf("id is required")
 	}
-	if text == "" {
-		return nil, fmt.Errorf("text is required")
+	if req.Text == "" {
+		return datalake.BatchItem{}, fmt.Errorf("text is required")
 	}
-	return &doc.Document{ID: id, Title: title, Text: text, SourceID: sourceID}, nil
+	return datalake.BatchItem{Doc: &doc.Document{ID: req.ID, Title: req.Title, Text: req.Text, SourceID: req.SourceID}}, nil
 }
 
-func buildTriple(subject, predicate, object, sourceID string) (*kg.Triple, error) {
-	if subject == "" || predicate == "" || object == "" {
-		return nil, fmt.Errorf("subject, predicate, and object are required")
+func buildTriple(req IngestTripleRequest) (datalake.BatchItem, error) {
+	if req.Subject == "" || req.Predicate == "" || req.Object == "" {
+		return datalake.BatchItem{}, fmt.Errorf("subject, predicate, and object are required")
 	}
-	return &kg.Triple{Subject: subject, Predicate: predicate, Object: object, SourceID: sourceID}, nil
+	return datalake.BatchItem{Triple: &kg.Triple{Subject: req.Subject, Predicate: req.Predicate, Object: req.Object, SourceID: req.SourceID}}, nil
 }
 
-func (s *Server) handleIngestTable(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+// ingestHandler serves one single-item ingest route (table, document or
+// triple): decode the request, build the lake item, then commit it as a
+// batch of one — the lake's only write path, the one /v1/ingest/batch
+// takes too. The lake waits for the item's incremental indexing before
+// returning, so a 200 response means the instance is already retrievable.
+func ingestHandler[Req any](s *Server, build func(Req) (datalake.BatchItem, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if r.Method != http.MethodPost {
+			writeError(w, http.StatusMethodNotAllowed, "POST required")
+			return
+		}
+		if s.rejectFollowerWrite(w) {
+			return
+		}
+		var req Req
+		if !decodeStrict(w, r, maxBodyBytes, &req) {
+			return
+		}
+		item, err := build(req)
+		if err != nil {
+			writeError(w, http.StatusBadRequest, "%v", err)
+			return
+		}
+		results, err := s.pipeline.Lake().AddBatch([]datalake.BatchItem{item})
+		if err == nil {
+			err = results[0].Err
+		}
+		if err != nil {
+			writeError(w, ingestStatus(err), "ingest: %v", err)
+			return
+		}
+		writeJSON(w, http.StatusOK, IngestResponse{Status: "ingested", Version: results[0].Version})
 	}
-	if s.rejectFollowerWrite(w) {
-		return
-	}
-	var req IngestTableRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
-		return
-	}
-	t, err := buildTable(req.ID, req.Caption, req.Columns, req.Rows, req.SourceID)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	version, err := s.pipeline.Lake().AddTableVersioned(t)
-	s.ingest(w, version, err)
 }
 
-func (s *Server) handleIngestDocument(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
+// ingestStatus maps a lake write error to its response status: a
+// duplicate ID is the client's conflict (409), a closed lake means the
+// system is shutting down (503, so load balancers retry elsewhere), and
+// anything else is an internal failure (500).
+func ingestStatus(err error) int {
+	switch {
+	case errors.Is(err, datalake.ErrDuplicate):
+		return http.StatusConflict
+	case errors.Is(err, datalake.ErrClosed):
+		return http.StatusServiceUnavailable
+	default:
+		return http.StatusInternalServerError
 	}
-	if s.rejectFollowerWrite(w) {
-		return
-	}
-	var req IngestDocumentRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
-		return
-	}
-	d, err := buildDocument(req.ID, req.Title, req.Text, req.SourceID)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	version, err := s.pipeline.Lake().AddDocumentVersioned(d)
-	s.ingest(w, version, err)
-}
-
-func (s *Server) handleIngestTriple(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		writeError(w, http.StatusMethodNotAllowed, "POST required")
-		return
-	}
-	if s.rejectFollowerWrite(w) {
-		return
-	}
-	var req IngestTripleRequest
-	if !decodeStrict(w, r, maxBodyBytes, &req) {
-		return
-	}
-	tr, err := buildTriple(req.Subject, req.Predicate, req.Object, req.SourceID)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	version, err := s.pipeline.Lake().AddTripleVersioned(*tr)
-	s.ingest(w, version, err)
 }
 
 func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
@@ -902,11 +889,11 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		var err error
 		switch it.Type {
 		case "table":
-			items[i].Table, err = buildTable(it.ID, it.Caption, it.Columns, it.Rows, it.SourceID)
+			items[i], err = buildTable(IngestTableRequest{ID: it.ID, Caption: it.Caption, Columns: it.Columns, Rows: it.Rows, SourceID: it.SourceID})
 		case "document":
-			items[i].Doc, err = buildDocument(it.ID, it.Title, it.Text, it.SourceID)
+			items[i], err = buildDocument(IngestDocumentRequest{ID: it.ID, Title: it.Title, Text: it.Text, SourceID: it.SourceID})
 		case "triple":
-			items[i].Triple, err = buildTriple(it.Subject, it.Predicate, it.Object, it.SourceID)
+			items[i], err = buildTriple(IngestTripleRequest{Subject: it.Subject, Predicate: it.Predicate, Object: it.Object, SourceID: it.SourceID})
 		default:
 			err = fmt.Errorf("unknown type %q (want table|document|triple)", it.Type)
 		}
@@ -917,11 +904,7 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	results, err := s.pipeline.Lake().AddBatch(items)
 	if err != nil {
-		status := http.StatusInternalServerError
-		if errors.Is(err, datalake.ErrClosed) {
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "ingest batch: %v", err)
+		writeError(w, ingestStatus(err), "ingest batch: %v", err)
 		return
 	}
 	resp := IngestBatchResponse{Results: make([]IngestBatchItemResult, len(results))}
@@ -961,26 +944,6 @@ func (s *Server) handleIngestBatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	writeJSON(w, code, resp)
-}
-
-// ingest finishes an ingest request: the mutation already ran, version/err
-// are its outcome. The ingest call waits for the mutation's incremental
-// indexing (the pipelined apply stage) before returning, so a 200 response
-// means the instance is already retrievable. A closed lake (the system is
-// shutting down) maps to 503 so load balancers retry elsewhere.
-func (s *Server) ingest(w http.ResponseWriter, version uint64, err error) {
-	if err != nil {
-		status := http.StatusInternalServerError
-		switch {
-		case errors.Is(err, datalake.ErrDuplicate):
-			status = http.StatusConflict
-		case errors.Is(err, datalake.ErrClosed):
-			status = http.StatusServiceUnavailable
-		}
-		writeError(w, status, "ingest: %v", err)
-		return
-	}
-	writeJSON(w, http.StatusOK, IngestResponse{Status: "ingested", Version: version})
 }
 
 // CheckpointResponse acknowledges POST /v1/admin/checkpoint.

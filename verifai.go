@@ -123,14 +123,7 @@ type (
 	BatchItem = datalake.BatchItem
 	// BatchItemResult is the per-item outcome of a System.AddBatch call.
 	BatchItemResult = datalake.BatchItemResult
-	// LakeOption configures a lake built by NewLake.
-	LakeOption = datalake.Option
 )
-
-// WithIngestQueue bounds the lake's in-flight ingest event queue (default
-// 256 events). Writers block once it fills, so queued-event memory stays
-// bounded under ingest bursts.
-func WithIngestQueue(n int) LakeOption { return datalake.WithQueueSize(n) }
 
 // NewGenerationStore returns an empty generation store.
 func NewGenerationStore() *GenerationStore { return genstore.NewStore() }
@@ -151,7 +144,7 @@ const (
 )
 
 // NewLake returns an empty multi-modal data lake.
-func NewLake(opts ...LakeOption) *Lake { return datalake.New(opts...) }
+func NewLake() *Lake { return datalake.New() }
 
 // NewTable returns an empty table with the given caption and schema, ready
 // for Table.AppendRow and lake ingestion.
@@ -265,8 +258,6 @@ type OpenOptions struct {
 	SyncInterval time.Duration
 	// SegmentBytes rotates WAL segments past this size; 0 means 16 MiB.
 	SegmentBytes int64
-	// LakeOptions configure the recovered lake (e.g. WithIngestQueue).
-	LakeOptions []LakeOption
 }
 
 // DefaultOpenOptions is DefaultOptions plus the default durability
@@ -299,11 +290,8 @@ func Open(dir string, opts OpenOptions) (*System, error) {
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
 	}
-	lakeOpts := make([]datalake.Option, len(opts.LakeOptions))
-	copy(lakeOpts, opts.LakeOptions)
 	st, err := durable.Open(dir, durable.Options{
 		Sync: policy, SyncInterval: opts.SyncInterval, SegmentBytes: opts.SegmentBytes,
-		LakeOptions: lakeOpts,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("verifai: %w", err)
